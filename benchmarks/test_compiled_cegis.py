@@ -1,7 +1,7 @@
 """E7 — Compiled CEGIS inner loop: cold-lift speedup, compiled vs interpreted.
 
 Lifts the Table-1 suite cross-section cold (no cache) twice through the
-sequential pipeline: once with the closure-compiled evaluation layer
+sequential pipeline: once with the compiled evaluation layer
 (:mod:`repro.compile`, the default) and once with the interpreted
 fallback (``CompileOptions(enabled=False)``).  Reports must be
 byte-identical (via :func:`repro.pipeline.report_signature`) and the
@@ -35,7 +35,7 @@ INTERPRETED = PipelineOptions(
 
 def _timed_cold_lift(cases, options):
     # Both modes lean on process-global memo tables (interned expressions,
-    # canonical forms, compiled closures); start each timed run cold so the
+    # canonical forms, compiled functions); start each timed run cold so the
     # comparison is order-independent within the benchmark session.
     clear_compile_caches()
     clear_simplify_cache()

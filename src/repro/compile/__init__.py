@@ -1,10 +1,14 @@
-"""Closure compilation of the CEGIS inner loop.
+"""Compiled evaluation of the CEGIS inner loop.
 
 This package turns the hot evaluation paths of the pipeline — IR kernel
 execution, symbolic predicate evaluation, and whole verification
-conditions — into native Python closures built once and called many
-times, replacing the per-evaluation tree dispatch of the interpreters
-in :mod:`repro.semantics` and :mod:`repro.predicates`.
+conditions — into ``compile()``-ed Python functions
+(:mod:`repro.compile.codegen`) built once and called many times,
+replacing the per-evaluation tree dispatch of the interpreters in
+:mod:`repro.semantics` and :mod:`repro.predicates`.  The interpreters
+stay as the oracle and as the cold tier of quantified constraints,
+which are only compiled once they are evaluated often enough to repay
+``compile()``.
 
 The compiled evaluators are required to be *bit-identical* to the
 interpreters (same values, same exception types and messages, same
@@ -16,7 +20,7 @@ random expressions and every suite kernel.
 See :doc:`docs/compiled_evaluation.md` for the design notes.
 """
 
-from repro.compile.options import INTERPRETED, CompileOptions
+from repro.compile.options import CompileOptions
 from repro.compile.exprcomp import (
     clear_expr_caches,
     compile_ir_condition,
@@ -27,7 +31,6 @@ from repro.compile.stmtcomp import (
     CompiledCollector,
     CompiledRecordingExecutor,
     clear_stmt_cache,
-    compile_kernel_body,
     compile_stmt,
 )
 from repro.compile.predcomp import (
@@ -42,6 +45,9 @@ from repro.compile.vccomp import CompiledClause, CompiledVC
 
 def clear_compile_caches() -> None:
     """Drop every compile-layer memo table (tests / cache hygiene)."""
+    from repro.compile.codegen import clear_code_cache
+
+    clear_code_cache()
     clear_expr_caches()
     clear_stmt_cache()
     clear_pred_caches()
@@ -49,7 +55,6 @@ def clear_compile_caches() -> None:
 
 __all__ = [
     "CompileOptions",
-    "INTERPRETED",
     "CompiledClause",
     "CompiledCollector",
     "CompiledRecordingExecutor",
@@ -62,7 +67,6 @@ __all__ = [
     "compile_invariant_instantiator",
     "compile_ir_condition",
     "compile_ir_expr",
-    "compile_kernel_body",
     "compile_postcondition",
     "compile_quantified",
     "compile_stmt",

@@ -1,66 +1,31 @@
-"""Closure compilation of IR and symbolic expressions.
+"""Compiled IR and symbolic expressions.
 
 ``compile_ir_expr`` / ``compile_sym_expr`` translate an expression tree
-*once* into a nest of Python closures; evaluating the result is then a
-chain of direct calls with no ``isinstance`` dispatch over the tree.
-The closures call exactly the same primitive helpers as the
-interpreters in :mod:`repro.semantics.evalexpr` (``value_add``,
-``require_int``, ``_apply_func``, the shared
-:mod:`repro.semantics.numeric` coercions), evaluate operands in the
-same left-to-right order, and raise the same exception types with the
-same messages, so a compiled expression is bit-identical to its
-interpreted twin — including the order in which lazily-drawn random
-array cells are materialised during counterexample search.
+*once* into a single ``compile()``-ed Python function
+(:mod:`repro.compile.codegen`); evaluating the result is one frame with
+no ``isinstance`` dispatch over the tree.  The generated code calls
+exactly the same primitive helpers as the interpreters in
+:mod:`repro.semantics.evalexpr` on every slow or failing path, evaluates
+operands in the same left-to-right order, and raises the same exception
+types with the same messages, so a compiled expression is bit-identical
+to its interpreted twin — including the order in which lazily-drawn
+random array cells are materialised during counterexample search.
 
-Two compile-time transformations are applied (both controlled by
-:class:`~repro.compile.options.CompileOptions`):
-
-* **constant folding** — subtrees without free variables or array
-  reads are evaluated once through the interpreter itself; an
-  operation that would raise (e.g. division by a literal zero) is left
-  un-folded so the error still surfaces at evaluation time;
-* **index specialisation** — the grammar's overwhelmingly common index
-  shapes (``v``, ``c``, ``v ± c``) get dedicated closures.
-
-Compiled closures are memoised per node identity.  Symbolic expression
+Compiled functions are memoised per node identity.  Symbolic expression
 nodes are hash-consed (:mod:`repro.symbolic.expr`), so structurally
 equal right-hand sides across thousands of CEGIS candidates share one
-compiled closure.  The memo keeps a strong reference to the key node,
+compiled function.  The memo keeps a strong reference to the key node,
 which both keeps ``id()`` stable and caps recompilation; tables are
 cleared deterministically when they reach a size threshold.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, Mapping, Tuple
 
 from repro.ir import nodes as ir
-from repro.semantics.evalexpr import _apply_func
-from repro.semantics.numeric import EvalError, compare_values
-from repro.semantics.state import (
-    State,
-    Value,
-    require_int,
-    value_add,
-    value_div,
-    value_mul,
-    value_neg,
-    value_sub,
-)
-from repro.symbolic.expr import (
-    Add,
-    ArrayCell,
-    Call,
-    Const,
-    Div,
-    Expr,
-    Mul,
-    Neg,
-    Sub,
-    Sym,
-)
-from repro.compile.options import CompileOptions
+from repro.semantics.state import State, Value
+from repro.symbolic.expr import Expr
 
 IRFn = Callable[[State], Value]
 SymFn = Callable[[State, Mapping[str, Value]], Value]
@@ -68,8 +33,8 @@ SymFn = Callable[[State, Mapping[str, Value]], Value]
 _CACHE_MAX = 1 << 16
 
 # id(node) -> (node, compiled); the stored node keeps id() valid.
-_IR_CACHE: Dict[Tuple[int, CompileOptions], Tuple[ir.ValueExpr, IRFn]] = {}
-_SYM_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Expr, SymFn]] = {}
+_IR_CACHE: Dict[int, Tuple[ir.ValueExpr, IRFn]] = {}
+_SYM_CACHE: Dict[int, Tuple[Expr, SymFn]] = {}
 
 
 def clear_expr_caches() -> None:
@@ -78,370 +43,39 @@ def clear_expr_caches() -> None:
     _SYM_CACHE.clear()
 
 
-def _const_closure(value) -> Callable:
-    def run(state, bindings=None, _value=value):
-        return _value
-
-    return run
-
-
-# ---------------------------------------------------------------------------
-# IR expressions
-# ---------------------------------------------------------------------------
-
-_IR_FOLDABLE = (ir.IntConst, ir.RealConst, ir.BinOp, ir.UnaryOp, ir.FuncCall)
-
-
-def _try_fold_ir(expr: ir.ValueExpr):
-    """Fold a closed IR subtree through the interpreter itself.
-
-    Returns ``(True, value)`` or ``(False, None)``; anything that
-    raises stays un-folded so the error is reproduced at run time.
-    """
-    for node in expr.walk():
-        if not isinstance(node, _IR_FOLDABLE):
-            return False, None
-    from repro.semantics.evalexpr import eval_ir_expr
-
-    try:
-        return True, eval_ir_expr(expr, State())
-    except Exception:
-        return False, None
-
-
-def _fold_hook_ir(options: CompileOptions):
-    return _try_fold_ir if options.fold_constants else None
-
-
-def _fold_hook_sym(options: CompileOptions):
-    return _try_fold_sym if options.fold_constants else None
-
-
-def compile_ir_expr(expr: ir.ValueExpr, options: CompileOptions) -> IRFn:
+def compile_ir_expr(expr: ir.ValueExpr) -> IRFn:
     """Compile an IR value expression to a ``state -> value`` function."""
-    key = (id(expr), options)
-    hit = _IR_CACHE.get(key)
+    hit = _IR_CACHE.get(id(expr))
     if hit is not None:
         return hit[1]
-    if options.codegen:
-        from repro.compile.codegen import gen_ir_fn
+    from repro.compile.codegen import gen_ir_fn
 
-        fn = gen_ir_fn(expr, fold=_fold_hook_ir(options))
-    else:
-        fn = _compile_ir(expr, options)
+    fn = gen_ir_fn(expr)
     if len(_IR_CACHE) >= _CACHE_MAX:
         _IR_CACHE.clear()
-    _IR_CACHE[key] = (expr, fn)
+    _IR_CACHE[id(expr)] = (expr, fn)
     return fn
 
 
-def _compile_ir(expr: ir.ValueExpr, options: CompileOptions) -> IRFn:
-    if isinstance(expr, (ir.IntConst, ir.RealConst)):
-        return _const_closure(expr.value)
-    if isinstance(expr, ir.VarRef):
-        name = expr.name
-
-        def run_var(state, _name=name):
-            try:
-                return state.scalar(_name)
-            except KeyError as exc:
-                raise EvalError(str(exc)) from exc
-
-        return run_var
-    if isinstance(expr, ir.ArrayLoad):
-        array = expr.array
-        context = f"index of {array}"
-        index_fns = tuple(_compile_ir(i, options) for i in expr.indices)
-        if len(index_fns) == 1:
-            (fn0,) = index_fns
-
-            def run_load1(state, _fn0=fn0, _array=array, _ctx=context):
-                index = (require_int(_fn0(state), context=_ctx),)
-                return state.array(_array).load(index)
-
-            return run_load1
-        if len(index_fns) == 2:
-            fn0, fn1 = index_fns
-
-            def run_load2(state, _fn0=fn0, _fn1=fn1, _array=array, _ctx=context):
-                index = (
-                    require_int(_fn0(state), context=_ctx),
-                    require_int(_fn1(state), context=_ctx),
-                )
-                return state.array(_array).load(index)
-
-            return run_load2
-
-        def run_load(state, _fns=index_fns, _array=array, _ctx=context):
-            index = tuple(require_int(fn(state), context=_ctx) for fn in _fns)
-            return state.array(_array).load(index)
-
-        return run_load
-    if isinstance(expr, ir.BinOp):
-        if options.fold_constants:
-            folded, value = _try_fold_ir(expr)
-            if folded:
-                return _const_closure(value)
-        left = _compile_ir(expr.left, options)
-        right = _compile_ir(expr.right, options)
-        op = _IR_BINOPS.get(expr.op)
-        if op is None:
-            message = f"unknown binary operator {expr.op!r}"
-
-            def run_bad_op(state, _left=left, _right=right, _msg=message):
-                _left(state)
-                _right(state)
-                raise EvalError(_msg)
-
-            return run_bad_op
-
-        def run_bin(state, _left=left, _right=right, _op=op):
-            return _op(_left(state), _right(state))
-
-        return run_bin
-    if isinstance(expr, ir.UnaryOp):
-        if options.fold_constants:
-            folded, value = _try_fold_ir(expr)
-            if folded:
-                return _const_closure(value)
-        operand = _compile_ir(expr.operand, options)
-        if expr.op == "-":
-
-            def run_neg(state, _operand=operand):
-                return value_neg(_operand(state))
-
-            return run_neg
-        return operand
-    if isinstance(expr, ir.FuncCall):
-        if options.fold_constants:
-            folded, value = _try_fold_ir(expr)
-            if folded:
-                return _const_closure(value)
-        func = expr.func
-        arg_fns = tuple(_compile_ir(a, options) for a in expr.args)
-
-        def run_call(state, _func=func, _fns=arg_fns):
-            return _apply_func(_func, [fn(state) for fn in _fns])
-
-        return run_call
-    if isinstance(expr, ir.Compare):
-        return compile_ir_condition(expr, options)
-    message = f"cannot evaluate IR expression {expr!r}"
-
-    def run_unknown(state, _msg=message):
-        raise EvalError(_msg)
-
-    return run_unknown
-
-
-_IR_BINOPS = {"+": value_add, "-": value_sub, "*": value_mul, "/": value_div}
-
-
-def compile_ir_condition(expr: ir.ValueExpr, options: CompileOptions) -> Callable[[State], bool]:
+def compile_ir_condition(expr: ir.ValueExpr) -> Callable[[State], bool]:
     """Compile an IR condition to a ``state -> bool`` function.
 
     Mirrors :func:`repro.semantics.evalexpr.eval_ir_condition`.
     """
-    if options.codegen:
-        from repro.compile.codegen import gen_ir_condition_fn
+    from repro.compile.codegen import gen_ir_condition_fn
 
-        return gen_ir_condition_fn(expr, fold=_fold_hook_ir(options))
-    if isinstance(expr, ir.Compare):
-        left = _compile_ir(expr.left, options)
-        right = _compile_ir(expr.right, options)
-        op = expr.op
-
-        def run_cmp(state, _left=left, _right=right, _op=op):
-            return compare_values(_op, _left(state), _right(state))
-
-        return run_cmp
-    value_fn = _compile_ir(expr, options)
-
-    def run_bool(state, _fn=value_fn):
-        value = _fn(state)
-        if isinstance(value, Expr):
-            raise EvalError("condition evaluated to a symbolic value")
-        return bool(value)
-
-    return run_bool
+    return gen_ir_condition_fn(expr)
 
 
-# ---------------------------------------------------------------------------
-# Symbolic predicate expressions
-# ---------------------------------------------------------------------------
-
-_SYM_FOLDABLE = (Const, Add, Sub, Mul, Div, Neg, Call)
-
-
-def _try_fold_sym(expr: Expr):
-    for node in expr.walk():
-        if not isinstance(node, _SYM_FOLDABLE):
-            return False, None
-    from repro.semantics.evalexpr import eval_sym_expr
-
-    try:
-        return True, eval_sym_expr(expr, State(), {})
-    except Exception:
-        return False, None
-
-
-def _normalized_const(value):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
-def compile_sym_expr(expr: Expr, options: CompileOptions) -> SymFn:
+def compile_sym_expr(expr: Expr) -> SymFn:
     """Compile a predicate-language expression to ``(state, bindings) -> value``."""
-    key = (id(expr), options)
-    hit = _SYM_CACHE.get(key)
+    hit = _SYM_CACHE.get(id(expr))
     if hit is not None:
         return hit[1]
-    if options.codegen:
-        from repro.compile.codegen import gen_sym_fn
+    from repro.compile.codegen import gen_sym_fn
 
-        fn = gen_sym_fn(expr, fold=_fold_hook_sym(options))
-    else:
-        fn = _compile_sym(expr, options)
+    fn = gen_sym_fn(expr)
     if len(_SYM_CACHE) >= _CACHE_MAX:
         _SYM_CACHE.clear()
-    _SYM_CACHE[key] = (expr, fn)
+    _SYM_CACHE[id(expr)] = (expr, fn)
     return fn
-
-
-def _sym_lookup(name: str) -> SymFn:
-    def run_sym(state, bindings, _name=name):
-        if _name in bindings:
-            return bindings[_name]
-        try:
-            return state.scalar(_name)
-        except KeyError as exc:
-            raise EvalError(str(exc)) from exc
-
-    return run_sym
-
-
-def _compile_sym(expr: Expr, options: CompileOptions) -> SymFn:
-    if isinstance(expr, Const):
-        return _const_closure(_normalized_const(expr.value))
-    if isinstance(expr, Sym):
-        return _sym_lookup(expr.name)
-    if isinstance(expr, ArrayCell):
-        array = expr.array
-        context = f"index of {array}"
-        index_fns = tuple(compile_sym_expr(i, options) for i in expr.indices)
-        if len(index_fns) == 1:
-            (fn0,) = index_fns
-
-            def run_cell1(state, bindings, _fn0=fn0, _array=array, _ctx=context):
-                index = (require_int(_fn0(state, bindings), context=_ctx),)
-                return state.array(_array).load(index)
-
-            return run_cell1
-        if len(index_fns) == 2:
-            fn0, fn1 = index_fns
-
-            def run_cell2(state, bindings, _fn0=fn0, _fn1=fn1, _array=array, _ctx=context):
-                index = (
-                    require_int(_fn0(state, bindings), context=_ctx),
-                    require_int(_fn1(state, bindings), context=_ctx),
-                )
-                return state.array(_array).load(index)
-
-            return run_cell2
-
-        def run_cell(state, bindings, _fns=index_fns, _array=array, _ctx=context):
-            index = tuple(require_int(fn(state, bindings), context=_ctx) for fn in _fns)
-            return state.array(_array).load(index)
-
-        return run_cell
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        if options.fold_constants:
-            folded, value = _try_fold_sym(expr)
-            if folded:
-                return _const_closure(value)
-        op = _SYM_BINOPS[type(expr)]
-        if options.specialize_indices:
-            specialized = _specialize_binop(expr, op, options)
-            if specialized is not None:
-                return specialized
-        left = compile_sym_expr(expr.left, options)
-        right = compile_sym_expr(expr.right, options)
-
-        def run_bin(state, bindings, _left=left, _right=right, _op=op):
-            return _op(_left(state, bindings), _right(state, bindings))
-
-        return run_bin
-    if isinstance(expr, Neg):
-        if options.fold_constants:
-            folded, value = _try_fold_sym(expr)
-            if folded:
-                return _const_closure(value)
-        operand = compile_sym_expr(expr.operand, options)
-
-        def run_neg(state, bindings, _operand=operand):
-            return value_neg(_operand(state, bindings))
-
-        return run_neg
-    if isinstance(expr, Call):
-        if options.fold_constants:
-            folded, value = _try_fold_sym(expr)
-            if folded:
-                return _const_closure(value)
-        func = expr.func
-        arg_fns = tuple(compile_sym_expr(a, options) for a in expr.args)
-
-        def run_call(state, bindings, _func=func, _fns=arg_fns):
-            return _apply_func(_func, [fn(state, bindings) for fn in _fns])
-
-        return run_call
-    message = f"cannot evaluate predicate expression {expr!r}"
-
-    def run_unknown(state, bindings, _msg=message):
-        raise EvalError(_msg)
-
-    return run_unknown
-
-
-_SYM_BINOPS = {Add: value_add, Sub: value_sub, Mul: value_mul, Div: value_div}
-
-
-def _specialize_binop(expr, op, options: CompileOptions):
-    """Dedicated closures for ``v op c`` / ``c op v`` index shapes.
-
-    Evaluation order and arithmetic are unchanged (the symbol is still
-    resolved first when it is the left operand), only the generic
-    closure indirection is removed.
-    """
-    left, right = expr.left, expr.right
-    if isinstance(left, Sym) and isinstance(right, Const):
-        name = left.name
-        value = _normalized_const(right.value)
-
-        def run_sym_const(state, bindings, _name=name, _value=value, _op=op):
-            if _name in bindings:
-                base = bindings[_name]
-            else:
-                try:
-                    base = state.scalar(_name)
-                except KeyError as exc:
-                    raise EvalError(str(exc)) from exc
-            return _op(base, _value)
-
-        return run_sym_const
-    if isinstance(left, Const) and isinstance(right, Sym):
-        name = right.name
-        value = _normalized_const(left.value)
-
-        def run_const_sym(state, bindings, _name=name, _value=value, _op=op):
-            if _name in bindings:
-                base = bindings[_name]
-            else:
-                try:
-                    base = state.scalar(_name)
-                except KeyError as exc:
-                    raise EvalError(str(exc)) from exc
-            return _op(_value, base)
-
-        return run_const_sym
-    return None

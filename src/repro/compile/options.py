@@ -1,4 +1,4 @@
-"""Options controlling the closure-compilation layer.
+"""Options of the compiled evaluation layer.
 
 :class:`CompileOptions` travels from :class:`~repro.pipeline.stng.PipelineOptions`
 through :func:`~repro.synthesis.cegis.synthesize_kernel` down to the
@@ -11,49 +11,26 @@ to agree bit-for-bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Union
 
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Tunables of the compiled evaluation path.
+    """Selects the evaluation path of the CEGIS checks.
 
     ``enabled``
-        Master switch.  ``False`` routes every check through the
-        original tree-walking interpreters (the bit-identical fallback).
-    ``fold_constants``
-        Evaluate constant subexpressions once at compile time (through
-        the same numeric helpers the interpreter uses, so folded values
-        are identical; operations that would raise are deferred to run
-        time so errors surface exactly where the interpreter raises).
-    ``codegen``
-        Flatten each tree into one ``compile()``-ed Python function
-        (:mod:`repro.compile.codegen`) instead of a closure per node.
-    ``specialize_indices``
-        Emit dedicated closures for the overwhelmingly common index
-        shapes (``v``, ``c``, ``v + c``) instead of generic dispatch
-        (closure backend only; codegen inlines everything anyway).
-    ``replay_counterexamples``
-        Check each new CEGIS candidate against the accumulated
-        counterexample buffer through the compiled clauses before
-        invoking the verifier tiers.
+        ``True`` (the default) evaluates checks through the compiled
+        functions of :mod:`repro.compile` and replays each new CEGIS
+        candidate against the accumulated counterexamples before the
+        verifier tiers run.  ``False`` routes every check through the
+        original tree-walking interpreters (the bit-identical oracle).
     """
 
     enabled: bool = True
-    fold_constants: bool = True
-    codegen: bool = True
-    specialize_indices: bool = True
-    replay_counterexamples: bool = True
 
     def config(self) -> Dict[str, Any]:
         """Cache-fingerprint encoding (see :mod:`repro.cache.fingerprint`)."""
-        return {
-            "enabled": self.enabled,
-            "fold_constants": self.fold_constants,
-            "codegen": self.codegen,
-            "specialize_indices": self.specialize_indices,
-            "replay_counterexamples": self.replay_counterexamples,
-        }
+        return {"enabled": self.enabled}
 
     @classmethod
     def coerce(
@@ -66,6 +43,3 @@ class CompileOptions:
         if isinstance(value, cls):
             return value
         return cls(**dict(value))
-
-
-INTERPRETED = CompileOptions(enabled=False)

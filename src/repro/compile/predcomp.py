@@ -1,56 +1,51 @@
-"""Closure compilation of predicate-language formulas.
+"""Compiled predicate-language formulas.
 
 Compiled twins of :mod:`repro.predicates.evaluate`: a candidate's
-postcondition and invariants are translated once per candidate, then
+postcondition and invariants are compiled once per candidate, then
 evaluated against many states (the CEGIS example set, the reachable
 states of the random checker, the bounded verifier's premise-canonical
 states).  Quantifier enumeration, guard handling, error wrapping and
 the ``value_equal`` comparison are replicated exactly — only the
 per-node tree dispatch is compiled away.
 
-Compiled formulas are memoised structurally (the predicate AST classes
-are frozen dataclasses over hash-consed expressions, so hashing is
-cheap); the tables are cleared deterministically at a size threshold so
-month-long batch runs stay bounded.
+A quantified constraint is *tiered*: its first few evaluations run on
+the interpreter (:func:`repro.predicates.evaluate.evaluate_quantified`),
+and only a formula that stays hot is flattened into one ``compile()``-ed
+function (:mod:`repro.compile.codegen`).  Most CEGIS candidates die
+after a handful of evaluations, so they never pay for ``compile()``.
+
+Compiled formulas are memoised per formula identity, and quantified
+constraints per identity of their hash-consed parts, so structurally
+equal constraints of different candidates share one tier counter and
+one compiled function.  The tables are cleared deterministically at a
+size threshold so month-long batch runs stay bounded.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.predicates.evaluate import GUARD_OPS as _GUARD_OPS, PredicateEvalError
-from repro.predicates.language import (
-    Bound,
-    Invariant,
-    Postcondition,
-    QuantifiedConstraint,
-)
+from repro.predicates.evaluate import PredicateEvalError, evaluate_quantified
+from repro.predicates.language import Invariant, Postcondition, QuantifiedConstraint
 from repro.semantics.numeric import EvalError, compare_values
 from repro.semantics.state import (
     State,
     Value,
-    require_int,
     value_equal_interned as value_equal,
 )
-from repro.symbolic.expr import Call, Expr
 from repro.compile.exprcomp import compile_sym_expr
-from repro.compile.options import CompileOptions
 
 StatePredicate = Callable[[State], bool]
-BoundFn = Callable[[State, Mapping[str, Value]], range]
 
 _CACHE_MAX = 1 << 13
 
-# Keyed by (id(formula), options); the stored formula reference keeps the
-# id stable, and the frozen options dataclass hashes by value so a
-# recycled object id can never serve a function compiled under different
-# flags.  Identity keying of the formula makes the per-evaluation probe
-# cheap; cross-candidate sharing still happens at the expression level,
-# where hash-consing makes equal right-hand sides literally identical.
-_QUANT_CACHE: Dict[Tuple[int, CompileOptions], Tuple[QuantifiedConstraint, Callable]] = {}
-_INV_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Invariant, StatePredicate]] = {}
-_POST_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Postcondition, StatePredicate]] = {}
-_INST_CACHE: Dict[Tuple[int, CompileOptions], Tuple[Invariant, StatePredicate]] = {}
+# Keyed by id(formula); the stored formula reference keeps the id stable.
+# Quantified constraints are keyed by their parts (see _quantified_key).
+_QUANT_CACHE: Dict[tuple, Tuple[QuantifiedConstraint, Callable]] = {}
+_INV_CACHE: Dict[int, Tuple[Invariant, StatePredicate]] = {}
+_POST_CACHE: Dict[int, Tuple[Postcondition, StatePredicate]] = {}
+_INST_CACHE: Dict[int, Tuple[Invariant, StatePredicate]] = {}
 
 
 def clear_pred_caches() -> None:
@@ -62,161 +57,46 @@ def clear_pred_caches() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Quantifier bounds and assignment enumeration
-# ---------------------------------------------------------------------------
-
-def _compile_bound(bound: Bound, options: CompileOptions) -> BoundFn:
-    """Compiled twin of ``predicates.evaluate._bound_range``."""
-    lower_fn = compile_sym_expr(bound.lower, options)
-    upper_fn = compile_sym_expr(bound.upper, options)
-    start_adjust = 1 if bound.lower_strict else 0
-    stop_adjust = 0 if bound.upper_strict else 1
-
-    def run(
-        state,
-        bindings,
-        _lower=lower_fn,
-        _upper=upper_fn,
-        _start=start_adjust,
-        _stop=stop_adjust,
-    ):
-        try:
-            lower = require_int(_lower(state, bindings), context="quantifier lower bound")
-            upper = require_int(_upper(state, bindings), context="quantifier upper bound")
-        except (EvalError, TypeError) as exc:
-            raise PredicateEvalError(str(exc)) from exc
-        return range(lower + _start, upper + _stop)
-
-    return run
-
-
-def compile_assignment_iterator(
-    bounds: Tuple[Bound, ...], options: CompileOptions
-) -> Callable[[State, Mapping[str, Value]], Iterator[Dict[str, int]]]:
-    """Compiled twin of ``predicates.evaluate.iterate_assignments``.
-
-    Later bounds may refer to earlier quantified variables, so
-    assignments are built left to right, exactly as interpreted.
-    """
-    bound_fns = tuple((b.var, _compile_bound(b, options)) for b in bounds)
-
-    def iterate(state, bindings):
-        bindings = dict(bindings or {})
-
-        def rec(index: int, current: Dict[str, int]) -> Iterator[Dict[str, int]]:
-            if index == len(bound_fns):
-                yield dict(current)
-                return
-            var, fn = bound_fns[index]
-            merged = {**bindings, **current}
-            for value in fn(state, merged):
-                current[var] = value
-                yield from rec(index + 1, current)
-            current.pop(var, None)
-
-        yield from rec(0, {})
-
-    return iterate
-
-
-def _compile_live_iterator(bounds: Tuple[Bound, ...], options: CompileOptions):
-    """Assignment enumeration yielding one *live* dict, for internal loops.
-
-    Consumers inside this module use each assignment before advancing
-    the generator and never retain it, so the per-assignment dict copy
-    of the public iterator can be skipped.  Enumeration order and bound
-    evaluation are identical.
-    """
-    bound_fns = tuple((b.var, _compile_bound(b, options)) for b in bounds)
-    count = len(bound_fns)
-
-    def iterate(state, bindings):
-        current: Dict[str, int] = {}
-
-        def rec(index: int) -> Iterator[Dict[str, int]]:
-            if index == count:
-                yield current
-                return
-            var, fn = bound_fns[index]
-            merged = {**bindings, **current} if bindings else current
-            for value in fn(state, merged):
-                current[var] = value
-                yield from rec(index + 1)
-            current.pop(var, None)
-
-        return rec(0)
-
-    return iterate
-
-
-# ---------------------------------------------------------------------------
 # Quantified constraints
 # ---------------------------------------------------------------------------
 
-def _compile_guard(guard: Expr, options: CompileOptions):
-    """Compiled twin of ``predicates.evaluate._evaluate_guard``."""
-    if isinstance(guard, Call) and guard.func in _GUARD_OPS:
-        op = _GUARD_OPS[guard.func]
-        left_fn = compile_sym_expr(guard.args[0], options)
-        right_fn = compile_sym_expr(guard.args[1], options)
+def _quantified_key(constraint: QuantifiedConstraint) -> tuple:
+    """The identities of a constraint's hash-consed expressions.
 
-        def run(state, bindings, _left=left_fn, _right=right_fn, _op=op):
-            left = _left(state, bindings)
-            right = _right(state, bindings)
-            try:
-                return compare_values(_op, left, right)
-            except EvalError as exc:
-                raise PredicateEvalError(str(exc)) from exc
-
-        return run
-    message = f"unsupported guard expression {guard!r}"
-
-    def run_unsupported(state, bindings, _msg=message):
-        raise PredicateEvalError(_msg)
-
-    return run_unsupported
+    Constraints themselves are not interned, but their expressions are,
+    so structurally equal constraints of different CEGIS candidates get
+    one key, and share one compiled function and one tier counter.  The
+    cached constraint keeps the nodes, and so their ids, alive.
+    """
+    out_eq = constraint.out_eq
+    return (
+        tuple((b.var, id(b.lower), id(b.upper), b.lower_strict, b.upper_strict)
+              for b in constraint.bounds),
+        id(constraint.guard),
+        out_eq.array,
+        tuple(map(id, out_eq.indices)),
+        id(out_eq.rhs),
+    )
 
 
 def compile_quantified(
-    constraint: QuantifiedConstraint, options: CompileOptions
+    constraint: QuantifiedConstraint,
 ) -> Callable[[State, Optional[Mapping[str, Value]]], bool]:
     """Compile ``forall bounds. [guard ->] outEq`` to a state predicate."""
-    key = (id(constraint), options)
+    key = _quantified_key(constraint)
     hit = _QUANT_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    fn = _build_quantified(constraint, options)
+    from repro.compile.codegen import gen_quantified_fn
+
+    fn = _tiered(
+        partial(evaluate_quantified, constraint),
+        lambda: gen_quantified_fn(constraint),
+    )
     if len(_QUANT_CACHE) >= _CACHE_MAX:
         _QUANT_CACHE.clear()
     _QUANT_CACHE[key] = (constraint, fn)
     return fn
-
-
-def _compile_index_tuple(indices, options: CompileOptions, context: str):
-    """Closure building the (int-coerced) index tuple for an array access."""
-    index_fns = tuple(compile_sym_expr(i, options) for i in indices)
-    if len(index_fns) == 1:
-        (fn0,) = index_fns
-
-        def run1(state, bindings, _fn0=fn0, _ctx=context):
-            return (require_int(_fn0(state, bindings), context=_ctx),)
-
-        return run1
-    if len(index_fns) == 2:
-        fn0, fn1 = index_fns
-
-        def run2(state, bindings, _fn0=fn0, _fn1=fn1, _ctx=context):
-            return (
-                require_int(_fn0(state, bindings), context=_ctx),
-                require_int(_fn1(state, bindings), context=_ctx),
-            )
-
-        return run2
-
-    def run(state, bindings, _fns=index_fns, _ctx=context):
-        return tuple(require_int(fn(state, bindings), context=_ctx) for fn in _fns)
-
-    return run
 
 
 # Calls before a formula is worth flattening into one code object:
@@ -227,8 +107,8 @@ def _compile_index_tuple(indices, options: CompileOptions, context: str):
 _CODEGEN_THRESHOLD = 8
 
 
-def _tiered(cheap_fn, upgrade):
-    """Run ``cheap_fn`` until hot, then swap in ``upgrade()`` (equivalent)."""
+def _tiered(cold_fn, upgrade):
+    """Run ``cold_fn`` until hot, then swap in ``upgrade()`` (equivalent)."""
     box = [0, None]
 
     def run(state, bindings=None):
@@ -238,53 +118,7 @@ def _tiered(cheap_fn, upgrade):
         box[0] += 1
         if box[0] >= _CODEGEN_THRESHOLD:
             box[1] = upgrade()
-        return cheap_fn(state, bindings)
-
-    return run
-
-
-def _build_quantified(constraint: QuantifiedConstraint, options: CompileOptions):
-    if options.codegen:
-        from repro.compile.codegen import gen_quantified_fn
-        from repro.compile.exprcomp import _fold_hook_sym
-
-        fold = _fold_hook_sym(options)
-        return _tiered(
-            _build_quantified_closures(constraint, options),
-            lambda: gen_quantified_fn(constraint, fold=fold),
-        )
-    return _build_quantified_closures(constraint, options)
-
-
-def _build_quantified_closures(constraint: QuantifiedConstraint, options: CompileOptions):
-    iterate = _compile_live_iterator(constraint.bounds, options)
-    guard_fn = (
-        _compile_guard(constraint.guard, options) if constraint.guard is not None else None
-    )
-    out_eq = constraint.out_eq
-    array = out_eq.array
-    context = f"index of {array}"
-    index_fn = _compile_index_tuple(out_eq.indices, options, context)
-    rhs_fn = compile_sym_expr(out_eq.rhs, options)
-
-    def check_out_eq(state, bindings):
-        try:
-            index = index_fn(state, bindings)
-            actual = state.array(array).load(index)
-            expected = rhs_fn(state, bindings)
-        except (EvalError, TypeError) as exc:
-            raise PredicateEvalError(str(exc)) from exc
-        return value_equal(actual, expected)
-
-    def run(state, bindings=None):
-        bindings = bindings or {}
-        for assignment in iterate(state, bindings):
-            merged = {**bindings, **assignment} if bindings else assignment
-            if guard_fn is not None and not guard_fn(state, merged):
-                continue
-            if not check_out_eq(state, merged):
-                return False
-        return True
+        return cold_fn(state, bindings)
 
     return run
 
@@ -293,21 +127,20 @@ def _build_quantified_closures(constraint: QuantifiedConstraint, options: Compil
 # Postconditions and invariants
 # ---------------------------------------------------------------------------
 
-def compile_postcondition(post: Postcondition, options: CompileOptions) -> StatePredicate:
+def compile_postcondition(post: Postcondition) -> StatePredicate:
     """Compiled twin of ``predicates.evaluate.evaluate_postcondition``."""
-    key = (id(post), options)
-    hit = _POST_CACHE.get(key)
+    hit = _POST_CACHE.get(id(post))
     if hit is not None:
         return hit[1]
-    fn = _build_postcondition(post, options)
+    fn = _build_postcondition(post)
     if len(_POST_CACHE) >= _CACHE_MAX:
         _POST_CACHE.clear()
-    _POST_CACHE[key] = (post, fn)
+    _POST_CACHE[id(post)] = (post, fn)
     return fn
 
 
-def _build_postcondition(post: Postcondition, options: CompileOptions) -> StatePredicate:
-    conjunct_fns = tuple(compile_quantified(c, options) for c in post.conjuncts)
+def _build_postcondition(post: Postcondition) -> StatePredicate:
+    conjunct_fns = tuple(compile_quantified(c) for c in post.conjuncts)
     if len(conjunct_fns) == 1:
         (fn0,) = conjunct_fns
 
@@ -325,22 +158,21 @@ def _build_postcondition(post: Postcondition, options: CompileOptions) -> StateP
     return run
 
 
-def compile_invariant(invariant: Invariant, options: CompileOptions) -> StatePredicate:
+def compile_invariant(invariant: Invariant) -> StatePredicate:
     """Compiled twin of ``predicates.evaluate.evaluate_invariant``."""
-    key = (id(invariant), options)
-    hit = _INV_CACHE.get(key)
+    hit = _INV_CACHE.get(id(invariant))
     if hit is not None:
         return hit[1]
-    fn = _build_invariant(invariant, options)
+    fn = _build_invariant(invariant)
     if len(_INV_CACHE) >= _CACHE_MAX:
         _INV_CACHE.clear()
-    _INV_CACHE[key] = (invariant, fn)
+    _INV_CACHE[id(invariant)] = (invariant, fn)
     return fn
 
 
-def _compile_inequality(ineq, options: CompileOptions) -> StatePredicate:
+def _compile_inequality(ineq) -> StatePredicate:
     var_fn = _var_lookup(ineq.var)
-    upper_fn = compile_sym_expr(ineq.upper, options)
+    upper_fn = compile_sym_expr(ineq.upper)
     op = "<" if ineq.strict else "<="
 
     def run(state, _var=var_fn, _upper=upper_fn, _op=op):
@@ -369,12 +201,12 @@ def _var_lookup(name: str):
     return run
 
 
-def _build_invariant(invariant: Invariant, options: CompileOptions) -> StatePredicate:
-    inequality_fns = tuple(_compile_inequality(ineq, options) for ineq in invariant.inequalities)
+def _build_invariant(invariant: Invariant) -> StatePredicate:
+    inequality_fns = tuple(_compile_inequality(ineq) for ineq in invariant.inequalities)
     equality_fns = tuple(
-        (eq.var, compile_sym_expr(eq.rhs, options)) for eq in invariant.equalities
+        (eq.var, compile_sym_expr(eq.rhs)) for eq in invariant.equalities
     )
-    conjunct_fns = tuple(compile_quantified(c, options) for c in invariant.conjuncts)
+    conjunct_fns = tuple(compile_quantified(c) for c in invariant.conjuncts)
 
     def run(state):
         for fn in inequality_fns:
@@ -400,52 +232,34 @@ def _build_invariant(invariant: Invariant, options: CompileOptions) -> StatePred
 # Invariant instantiation (bounded verifier premise states)
 # ---------------------------------------------------------------------------
 
-def compile_invariant_instantiator(
-    invariant: Invariant, options: CompileOptions
-) -> StatePredicate:
+def compile_invariant_instantiator(invariant: Invariant) -> StatePredicate:
     """Compiled twin of ``BoundedVerifier._instantiate_invariant``.
 
     Mutates the state so it satisfies the invariant; returns ``False``
     when impossible.  Error handling matches the interpreted method
     (failures are absorbed, not raised).
     """
-    key = (id(invariant), options)
-    hit = _INST_CACHE.get(key)
+    hit = _INST_CACHE.get(id(invariant))
     if hit is not None:
         return hit[1]
-    fn = _build_instantiator(invariant, options)
+    fn = _build_instantiator(invariant)
     if len(_INST_CACHE) >= _CACHE_MAX:
         _INST_CACHE.clear()
-    _INST_CACHE[key] = (invariant, fn)
+    _INST_CACHE[id(invariant)] = (invariant, fn)
     return fn
 
 
-def _build_instantiator(invariant: Invariant, options: CompileOptions) -> StatePredicate:
+def _build_instantiator(invariant: Invariant) -> StatePredicate:
+    from repro.compile.codegen import gen_conjunct_store_fn
+
     ineq_parts = tuple(
-        (_var_lookup(ineq.var), compile_sym_expr(ineq.upper, options), "<" if ineq.strict else "<=")
+        (_var_lookup(ineq.var), compile_sym_expr(ineq.upper), "<" if ineq.strict else "<=")
         for ineq in invariant.inequalities
     )
     equality_fns = tuple(
-        (eq.var, compile_sym_expr(eq.rhs, options)) for eq in invariant.equalities
+        (eq.var, compile_sym_expr(eq.rhs)) for eq in invariant.equalities
     )
-    store_fns = None
-    conjunct_parts = ()
-    if options.codegen:
-        from repro.compile.codegen import gen_conjunct_store_fn
-        from repro.compile.exprcomp import _fold_hook_sym
-
-        store_fns = tuple(
-            gen_conjunct_store_fn(conjunct, fold=_fold_hook_sym(options))
-            for conjunct in invariant.conjuncts
-        )
-    else:
-        parts = []
-        for conjunct in invariant.conjuncts:
-            iterate = _compile_live_iterator(conjunct.bounds, options)
-            index_fn = _compile_index_tuple(conjunct.out_eq.indices, options, "index")
-            rhs_fn = compile_sym_expr(conjunct.out_eq.rhs, options)
-            parts.append((iterate, index_fn, rhs_fn, conjunct.out_eq.array))
-        conjunct_parts = tuple(parts)
+    store_fns = tuple(gen_conjunct_store_fn(conjunct) for conjunct in invariant.conjuncts)
 
     def run(state):
         for var_fn, upper_fn, op in ineq_parts:
@@ -461,25 +275,9 @@ def _build_instantiator(invariant: Invariant, options: CompileOptions) -> StateP
                 state.set_scalar(var, rhs_fn(state, _EMPTY_BINDINGS))
             except (EvalError, TypeError):
                 return False
-        if store_fns is not None:
-            for fn in store_fns:
-                try:
-                    fn(state)
-                except (PredicateEvalError, EvalError, TypeError):
-                    return False
-            return True
-        for iterate, index_fn, rhs_fn, array in conjunct_parts:
+        for fn in store_fns:
             try:
-                arr = state.arrays.get(array)
-                if arr is None:
-                    arr = state.array(array)
-                cells = arr.cells
-                for assignment in iterate(state, _EMPTY_BINDINGS):
-                    index = index_fn(state, assignment)
-                    value = rhs_fn(state, assignment)
-                    # ``index`` is require_int-coerced, so this matches
-                    # ``ArrayValue.store`` without the re-coercion.
-                    cells[index] = value
+                fn(state)
             except (PredicateEvalError, EvalError, TypeError):
                 return False
         return True

@@ -2,18 +2,17 @@
 
 :class:`CompiledVC` is the compiled twin of
 :class:`repro.vcgen.hoare.VCProblem`: every clause's straight-line
-prefix, counter initialisation and premise tests are translated to
-closures once per VC (i.e. once per kernel), while the
-candidate-dependent parts — the postcondition and the invariants — are
-compiled once per candidate through the structurally-memoised
-:mod:`repro.compile.predcomp` tables and then evaluated against many
-states.  Clause semantics (vacuous-truth handling, exception wrapping,
+prefix, counter initialisation and premise tests are compiled once per
+VC (i.e. once per kernel), while the candidate-dependent parts — the
+postcondition and the invariants — are compiled once per candidate
+through the memoised :mod:`repro.compile.predcomp` tables and then
+evaluated against many states.  Clause semantics (vacuous-truth handling, exception wrapping,
 the work-on-a-copy discipline) are replicated exactly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.ir import nodes as ir
 from repro.ir.analysis import collect_loops, loop_counters
@@ -23,12 +22,11 @@ from repro.semantics.numeric import EvalError
 from repro.semantics.state import State, require_int
 from repro.vcgen.hoare import CandidateSummary, VCClause, VCProblem
 from repro.compile.exprcomp import compile_ir_condition, compile_ir_expr
-from repro.compile.options import CompileOptions
 from repro.compile.predcomp import compile_invariant, compile_postcondition
 from repro.compile.stmtcomp import compile_stmt
 
 
-def _compile_bounds_non_degenerate(kernel: ir.Kernel, options: CompileOptions):
+def _compile_bounds_non_degenerate(kernel: ir.Kernel):
     """Compiled twin of ``repro.vcgen.hoare._bounds_non_degenerate``."""
     counters = set(loop_counters(kernel))
     checks = []
@@ -41,9 +39,7 @@ def _compile_bounds_non_degenerate(kernel: ir.Kernel, options: CompileOptions):
         }
         if mentioned & counters:
             continue
-        checks.append(
-            (compile_ir_expr(loop.lower, options), compile_ir_expr(loop.upper, options))
-        )
+        checks.append((compile_ir_expr(loop.lower), compile_ir_expr(loop.upper)))
     checks = tuple(checks)
 
     def run(state, _checks=checks):
@@ -66,20 +62,18 @@ class CompiledClause:
     def __init__(
         self,
         clause: VCClause,
-        options: CompileOptions,
         bounds_check: Callable[[State], bool],
         pre_conditions: Tuple[Callable[[State], bool], ...],
     ):
         self.clause = clause
         self.name = clause.name
-        self._options = options
         self._bounds_check = bounds_check
         self._pre_conditions = pre_conditions
-        self._prefix = tuple(compile_stmt(stmt, options) for stmt in clause.prefix)
+        self._prefix = tuple(compile_stmt(stmt) for stmt in clause.prefix)
         self._counter_init: Optional[Tuple[str, Callable]] = None
         if clause.counter_init is not None:
             counter, lower = clause.counter_init
-            self._counter_init = (counter, compile_ir_expr(lower, options))
+            self._counter_init = (counter, compile_ir_expr(lower))
         self._counter_update = clause.target.counter_update
         # Premises: (kind, loop_id, counter name, compiled loop-upper).
         premises = []
@@ -96,14 +90,14 @@ class CompiledClause:
                         assumption.kind,
                         None,
                         loop.counter,
-                        compile_ir_expr(loop.upper, options),
+                        compile_ir_expr(loop.upper),
                     )
                 )
         self._premises = tuple(premises)
         # Alignment premises for strided_exact candidates: (counter name,
         # compiled lower bound, step) for every live strided loop.
         self._alignment = tuple(
-            (loop.counter, compile_ir_expr(loop.lower, options), loop.step)
+            (loop.counter, compile_ir_expr(loop.lower), loop.step)
             for loop in clause.aligned_loops
             if loop.step not in (1, -1)
         )
@@ -114,7 +108,6 @@ class CompiledClause:
     # -- evaluation ---------------------------------------------------------
     def premises_hold(self, state: State, candidate: CandidateSummary) -> bool:
         """Compiled twin of ``VCClause._premises_hold``."""
-        options = self._options
         if candidate.strided_exact and self._alignment:
             for counter_name, lower_fn, step in self._alignment:
                 try:
@@ -137,7 +130,7 @@ class CompiledClause:
             elif kind == "inv":
                 invariant = candidate.invariant_for(loop_id)
                 try:
-                    if not compile_invariant(invariant, options)(state):
+                    if not compile_invariant(invariant)(state):
                         return False
                 except PredicateEvalError:
                     return False
@@ -184,23 +177,20 @@ class CompiledClause:
 
     def _target_holds(self, state: State, candidate: CandidateSummary) -> bool:
         if self._target_is_post:
-            return compile_postcondition(candidate.post, self._options)(state)
+            return compile_postcondition(candidate.post)(state)
         invariant = candidate.invariant_for(self._target_loop_id)
-        return compile_invariant(invariant, self._options)(state)
+        return compile_invariant(invariant)(state)
 
 
 class CompiledVC:
     """Compiled twin of a whole :class:`~repro.vcgen.hoare.VCProblem`."""
 
-    def __init__(self, vc: VCProblem, options: CompileOptions):
+    def __init__(self, vc: VCProblem):
         self.vc = vc
-        self.options = options
-        bounds_check = _compile_bounds_non_degenerate(vc.kernel, options)
-        pre_conditions = tuple(
-            compile_ir_condition(pre, options) for pre in vc.kernel.assumptions
-        )
+        bounds_check = _compile_bounds_non_degenerate(vc.kernel)
+        pre_conditions = tuple(compile_ir_condition(pre) for pre in vc.kernel.assumptions)
         self.clauses: List[CompiledClause] = [
-            CompiledClause(clause, options, bounds_check, pre_conditions)
+            CompiledClause(clause, bounds_check, pre_conditions)
             for clause in vc.clauses
         ]
 

@@ -53,7 +53,7 @@ class PipelineOptions:
     """Tunables of the pipeline (defaults keep the full suite under a few minutes).
 
     ``compile_options`` selects the synthesis evaluation backend
-    (closure-compiled by default; ``CompileOptions(enabled=False)``
+    (compiled by default; ``CompileOptions(enabled=False)``
     falls back to the tree-walking interpreters with bit-identical
     results).  A plain mapping is accepted too, because the batch
     scheduler round-trips options through ``dataclasses.asdict`` on

@@ -22,7 +22,7 @@ from repro.predicates.language import (
 )
 from repro.semantics.evalexpr import EvalError, compare_values, eval_sym_expr
 from repro.semantics.state import State, Value, require_int, value_equal
-from repro.symbolic.expr import Expr
+from repro.symbolic.expr import Call, Expr
 
 
 class PredicateEvalError(Exception):
@@ -95,8 +95,6 @@ def evaluate_quantified(
     for assignment in iterate_assignments(constraint.bounds, state, bindings):
         merged = {**bindings, **assignment}
         if constraint.guard is not None:
-            from repro.ir.nodes import Compare
-
             guard_value = _evaluate_guard(constraint.guard, state, merged)
             if not guard_value:
                 continue
@@ -106,15 +104,13 @@ def evaluate_quantified(
 
 
 # Guard comparisons are encoded as Call nodes with these function names;
-# the compiled evaluation backends (:mod:`repro.compile`) import this
+# the compiled evaluator (:mod:`repro.compile.codegen`) imports this
 # mapping so interpreter and compiled guards can never drift apart.
 GUARD_OPS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "/="}
 
 
 def _evaluate_guard(guard: Expr, state: State, bindings: Mapping[str, Value]) -> bool:
     """Evaluate a guard expression (a comparison encoded as a Call node)."""
-    from repro.symbolic.expr import Call
-
     if isinstance(guard, Call) and guard.func in GUARD_OPS:
         left = eval_sym_expr(guard.args[0], state, bindings)
         right = eval_sym_expr(guard.args[1], state, bindings)

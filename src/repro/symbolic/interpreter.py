@@ -169,7 +169,7 @@ def symbolic_execute(
     """Execute ``kernel`` with the given concrete integer environment.
 
     ``compile_options`` selects the evaluation backend; when enabled the
-    kernel body runs through the closure-compiled recording executor
+    kernel body runs through the compiled recording executor
     (:class:`repro.compile.CompiledRecordingExecutor`), which is
     bit-identical to the interpreted one.
     """
@@ -178,7 +178,7 @@ def symbolic_execute(
     if compile_options is not None and compile_options.enabled:
         from repro.compile import CompiledRecordingExecutor
 
-        compiled = CompiledRecordingExecutor(kernel, compile_options)
+        compiled = CompiledRecordingExecutor(kernel)
         compiled.run(state, executor._record)
     else:
         executor.run(state)

@@ -146,11 +146,11 @@ class CounterexampleReplay:
 
     def __init__(self, vc, compile_options: CompileOptions, compiled_vc=None):
         self.states: List[State] = []
-        if compile_options.enabled and compile_options.replay_counterexamples:
+        if compile_options.enabled:
             # Reuse the verifier's compiled VC when it exists (it is built
             # from the same problem), rather than compiling a second one.
             if compiled_vc is None:
-                compiled_vc = CompiledVC(vc, compile_options)
+                compiled_vc = CompiledVC(vc)
             self._check = compiled_vc.check
         else:
             self._check = vc.check
@@ -551,8 +551,8 @@ def synthesize_kernel_uncached(
     explicit ``strategies`` argument forces the sequential path).
     ``timeout`` bounds the total synthesis time — between strategies on
     the sequential path, and as a hard wait deadline when racing.
-    ``compile_options`` selects the evaluation backend (closure-compiled
-    by default, tree-walking interpreters when disabled); both backends
+    ``compile_options`` selects the evaluation path (compiled by
+    default, tree-walking interpreters when disabled); both paths
     produce bit-identical results.
 
     ``inductive`` enables the Tier-3 unbounded prover

@@ -142,7 +142,7 @@ class BoundedVerifier:
 
     ``compile_options`` selects the evaluation backend: when enabled
     (the default) the kernel, the VC clauses and every candidate
-    formula are closure-compiled once (:mod:`repro.compile`) and the
+    formula are compiled once (:mod:`repro.compile`) and the
     checks run through the compiled forms; when disabled everything
     goes through the original tree-walking interpreters.  Both
     backends are bit-identical by construction.
@@ -167,8 +167,8 @@ class BoundedVerifier:
         self._compiled_vc = None
         self._compiled_collector = None
         if self.compile_options.enabled:
-            self._compiled_vc = CompiledVC(vc, self.compile_options)
-            self._compiled_collector = CompiledCollector(self.kernel, self.compile_options)
+            self._compiled_vc = CompiledVC(vc)
+            self._compiled_collector = CompiledCollector(self.kernel)
         # Deep loop nests (5-D kernels, multi-level tiling) explode the number
         # of counter combinations; scale the sampling budget down so the
         # per-kernel verification cost stays roughly constant.
@@ -362,7 +362,7 @@ class BoundedVerifier:
         if self.compile_options.enabled:
             from repro.compile import compile_ir_expr
 
-            return compile_ir_expr(loop.upper, self.compile_options)(state)
+            return compile_ir_expr(loop.upper)(state)
         return eval_ir_expr(loop.upper, state)
 
     def _instantiate_invariant(self, invariant: Invariant, state: State) -> bool:
@@ -370,7 +370,7 @@ class BoundedVerifier:
         if self.compile_options.enabled:
             from repro.compile import compile_invariant_instantiator
 
-            return compile_invariant_instantiator(invariant, self.compile_options)(state)
+            return compile_invariant_instantiator(invariant)(state)
         from repro.semantics.evalexpr import compare_values
 
         for ineq in invariant.inequalities:

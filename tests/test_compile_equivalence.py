@@ -1,12 +1,13 @@
-"""Compiled-vs-interpreted equivalence for the closure-compilation layer.
+"""Compiled-vs-interpreted equivalence for the compiled evaluation layer.
 
 The compiled evaluators (:mod:`repro.compile`) must be *bit-identical*
 to the tree-walking interpreters: same values (including ``Fraction``
 vs ``float`` behaviour and GF(7) field elements), same exception types
-and messages (division by zero, unbound scalars, symbolic indices), on
-both backends (per-node closures and ``compile()``-ed source).  The
-properties are checked on random expressions, on every suite kernel's
-executable body, and end-to-end through ``synthesize_kernel``.
+and messages (division by zero, unbound scalars, symbolic indices), in
+both tiers of a quantified constraint (interpreter while cold,
+``compile()``-ed source once hot).  The properties are checked on
+random expressions, on every suite kernel's executable body, and
+end-to-end through ``synthesize_kernel``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ from repro.synthesis.floatmodel import Mod7
 from repro.vcgen.hoare import generate_vc
 
 INTERPRETED = CompileOptions(enabled=False)
-CLOSURES = CompileOptions(codegen=False)
-CODEGEN = CompileOptions(codegen=True)
-NO_FOLD = CompileOptions(fold_constants=False, specialize_indices=False)
-
-BACKENDS = [CLOSURES, CODEGEN, NO_FOLD]
 
 
 def kernel_from_source(source: str):
@@ -151,9 +147,8 @@ BINDINGS = {"q1": 1, "q2": -2}
 def test_sym_expr_backends_match_interpreter(expr):
     state = _make_state()
     reference = outcome(lambda: eval_sym_expr(expr, state, BINDINGS))
-    for options in BACKENDS:
-        fn = compile_sym_expr(expr, options)
-        assert outcome(lambda: fn(state, BINDINGS)) == reference
+    fn = compile_sym_expr(expr)
+    assert outcome(lambda: fn(state, BINDINGS)) == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,9 +158,8 @@ def test_sym_expr_matches_on_symbolic_state(expr):
     # so equality below is structural equality of the built expressions.
     state = State(scalars={"i": 2, "j": 0, "n": sym("n"), "w": sym("w")})
     reference = outcome(lambda: eval_sym_expr(expr, state, BINDINGS))
-    for options in BACKENDS:
-        fn = compile_sym_expr(expr, options)
-        assert outcome(lambda: fn(state, BINDINGS)) == reference
+    fn = compile_sym_expr(expr)
+    assert outcome(lambda: fn(state, BINDINGS)) == reference
 
 
 class TestSymEdgeCases:
@@ -174,43 +168,38 @@ class TestSymEdgeCases:
         state = State(scalars={"i": 4, "j": 7})
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "ZeroDivisionError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
 
     def test_unbound_scalar_message_parity(self):
         expr = Add(Sym("nope"), Const(Fraction(1)))
         state = State()
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "EvalError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
 
     def test_fraction_const_normalises_to_int(self):
-        fn = compile_sym_expr(Const(Fraction(4)), CODEGEN)
+        fn = compile_sym_expr(Const(Fraction(4)))
         value = fn(State(), {})
         assert value == 4 and type(value) is int
 
     def test_float_vs_fraction_division(self):
         state = State(scalars={"x": 1, "y": 3})
         exact = Div(Sym("x"), Sym("y"))
-        for options in BACKENDS:
-            assert compile_sym_expr(exact, options)(state, {}) == Fraction(1, 3)
+        assert compile_sym_expr(exact)(state, {}) == Fraction(1, 3)
         state_float = State(scalars={"x": 1.0, "y": 3})
         interp = eval_sym_expr(exact, state_float, {})
-        for options in BACKENDS:
-            value = compile_sym_expr(exact, options)(state_float, {})
-            assert value == interp and type(value) is float
+        value = compile_sym_expr(exact)(state_float, {})
+        assert value == interp and type(value) is float
 
     def test_symbolic_index_error_parity(self):
         expr = ArrayCell("a", (Sym("k"),))
         state = State(scalars={"k": sym("k")})
         reference = outcome(lambda: eval_sym_expr(expr, state, {}))
         assert reference[0] == "err" and reference[1] == "TypeError"
-        for options in BACKENDS:
-            fn = compile_sym_expr(expr, options)
-            assert outcome(lambda: fn(state, {})) == reference
+        fn = compile_sym_expr(expr)
+        assert outcome(lambda: fn(state, {})) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +232,8 @@ def test_ir_expr_backends_match_interpreter():
         state = State(scalars={"i": 1, "j": -2, "n": Fraction(3, 2), "w": 0.75})
         state.arrays["b"] = function_array("b", lambda idx: Fraction(idx[0] + 2, 3))
         reference = outcome(lambda: eval_ir_expr(expr, state))
-        for options in BACKENDS:
-            fn = compile_ir_expr(expr, options)
-            assert outcome(lambda: fn(state)) == reference
+        fn = compile_ir_expr(expr)
+        assert outcome(lambda: fn(state)) == reference
 
 
 def _states_equal(left: State, right: State) -> bool:
@@ -274,8 +262,7 @@ def _concrete_state(kernel, seed: int) -> State:
     return state
 
 
-@pytest.mark.parametrize("options", BACKENDS, ids=["closures", "codegen", "nofold"])
-def test_every_suite_kernel_executes_identically(options):
+def test_every_suite_kernel_executes_identically():
     checked = 0
     for case in all_cases():
         report = identify_candidates(parse_source(case.source))
@@ -288,7 +275,7 @@ def test_every_suite_kernel_executes_identically(options):
         interp_state = _concrete_state(kernel, seed=11)
         compiled_state = _concrete_state(kernel, seed=11)
         reference = outcome(lambda: execute_statement(kernel.body, interp_state))
-        fn = compile_stmt(kernel.body, options)
+        fn = compile_stmt(kernel.body)
         result = outcome(lambda: fn(compiled_state))
         assert result[0] == reference[0], f"{case.name}: {result} vs {reference}"
         if reference[0] == "err":
@@ -304,10 +291,93 @@ def test_collector_matches_interpreted_collector():
 
     kernel = kernel_from_source(RUNNING_EXAMPLE)
     interp_states = _ReachableStateCollector(kernel).run(_concrete_state(kernel, 3))
-    compiled_states = CompiledCollector(kernel, CODEGEN).collect(_concrete_state(kernel, 3))
+    compiled_states = CompiledCollector(kernel).collect(_concrete_state(kernel, 3))
     assert len(interp_states) == len(compiled_states)
     for left, right in zip(interp_states, compiled_states):
         assert _states_equal(left, right)
+
+
+# ---------------------------------------------------------------------------
+# Tiered quantified constraints
+# ---------------------------------------------------------------------------
+
+def _tier_state(kind: str, n: int) -> State:
+    """A state on which ``forall q in [lo, n]. q >= k -> a(q) == b(q) + k``
+    (with ``k = 2`` bound by the caller) holds, fails, or cannot be
+    evaluated, depending on ``kind``."""
+    state = State(scalars={"lo": 1, "n": n})
+    state.arrays["b"] = function_array("b", lambda idx: Fraction(idx[0], 3))
+    broken = 3 if kind == "fails" else None
+    state.arrays["a"] = function_array(
+        "a", lambda idx: Fraction(idx[0], 3) + (3 if idx[0] == broken else 2)
+    )
+    if kind == "unbound":
+        del state.scalars["n"]
+    elif kind == "fractional":
+        state.scalars["lo"] = Fraction(1, 2)
+    elif kind == "symbolic":
+        state.scalars["n"] = sym("n")
+    return state
+
+
+def test_quantified_tiers_match_interpreter(monkeypatch):
+    from repro.compile import clear_compile_caches, codegen, compile_quantified
+    from repro.compile.predcomp import _CODEGEN_THRESHOLD
+    from repro.predicates.evaluate import evaluate_quantified
+    from repro.predicates.language import Bound, OutEq, QuantifiedConstraint
+
+    upgrades = []
+    real_gen = codegen.gen_quantified_fn
+
+    def counting_gen(constraint):
+        upgrades.append(constraint)
+        return real_gen(constraint)
+
+    monkeypatch.setattr(codegen, "gen_quantified_fn", counting_gen)
+    clear_compile_caches()
+    constraint = QuantifiedConstraint(
+        bounds=(Bound("q", Sym("lo"), Sym("n")),),
+        out_eq=OutEq("a", (Sym("q"),), Add(ArrayCell("b", (Sym("q"),)), Sym("k"))),
+        guard=Call("ge", (Sym("q"), Sym("k"))),
+    )
+    bindings = {"k": 2}
+    kinds = ["holds", "fails", "unbound", "holds", "fractional", "symbolic"]
+    states = [
+        _tier_state(kinds[i % len(kinds)], 3 + i % 4)
+        for i in range(3 * _CODEGEN_THRESHOLD)
+    ]
+
+    fn = compile_quantified(constraint)
+    results = []
+    for index, state in enumerate(states):
+        reference = outcome(lambda: evaluate_quantified(constraint, state, bindings))
+        assert outcome(lambda: fn(state, bindings)) == reference, index
+        results.append(reference)
+
+    assert upgrades == [constraint]  # exactly one switch to the hot tier
+    cold, hot = results[:_CODEGEN_THRESHOLD], results[_CODEGEN_THRESHOLD:]
+    for tier in (cold, hot):
+        assert ("ok", True) in tier and ("ok", False) in tier
+        assert {r[1] for r in tier if r[0] == "err"} == {"PredicateEvalError"}
+
+
+def test_structurally_equal_constraints_share_one_compiled_function():
+    from repro.compile import clear_compile_caches, compile_quantified
+    from repro.predicates.language import Bound, OutEq, QuantifiedConstraint
+
+    def constraint(scale):
+        return QuantifiedConstraint(
+            bounds=(Bound("q", Const(Fraction(1)), Sym("n")),),
+            out_eq=OutEq("a", (Sym("q"),), Mul(Const(scale), ArrayCell("b", (Sym("q"),)))),
+        )
+
+    clear_compile_caches()
+    first = constraint(Fraction(2))
+    assert compile_quantified(constraint(Fraction(2))) is compile_quantified(first)
+    # Const(2.0) equals Const(Fraction(2)) structurally but is a distinct
+    # interned node with different arithmetic: it must not share.
+    assert constraint(2.0) == first
+    assert compile_quantified(constraint(2.0)) is not compile_quantified(first)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +401,7 @@ class TestSynthesisEquivalence:
         kernel = kernel_from_source(RUNNING_EXAMPLE)
         result = synthesize_kernel(kernel, seed=1)
         vc = generate_vc(kernel)
-        compiled_vc = CompiledVC(vc, CODEGEN)
+        compiled_vc = CompiledVC(vc)
         for seed in range(6):
             state = _concrete_state(kernel, seed)
             assert compiled_vc.check(state, result.candidate) == vc.check(

@@ -157,27 +157,42 @@ class TestService:
         assert counted_synthesis["count"] == 1
 
     def test_concurrent_identical_submissions_one_synthesis(
-        self, tmp_path, counted_synthesis
+        self, tmp_path, counted_synthesis, monkeypatch
     ):
         clients = 6
+        release = threading.Event()
+        counting = cegis.synthesize_kernel_uncached
 
-        def one_client(port, barrier):
+        def held(*args, **kwargs):
+            # The lift stays in flight until every other submission has
+            # deduped onto it, so the requests overlap by construction.
+            assert release.wait(timeout=60), "submissions never deduped"
+            return counting(*args, **kwargs)
+
+        monkeypatch.setattr(cegis, "synthesize_kernel_uncached", held)
+
+        def one_client(port):
             with ServiceClient("127.0.0.1", port) as client:
-                barrier.wait(timeout=30)
                 return client.lift(DOUBLER, "doubler")
 
         async def body(service, port):
             # A dedicated executor: asyncio.to_thread's default pool can
-            # be narrower than the barrier's party count on small boxes.
+            # be narrower than the number of clients on small boxes, and
+            # every client must be connected before the lift is released.
             loop = asyncio.get_running_loop()
-            barrier = threading.Barrier(clients)
             with ThreadPoolExecutor(max_workers=clients) as pool:
-                finals = await asyncio.gather(
+                pending = asyncio.gather(
                     *[
-                        loop.run_in_executor(pool, one_client, port, barrier)
+                        loop.run_in_executor(pool, one_client, port)
                         for _ in range(clients)
                     ]
                 )
+                for _ in range(6000):
+                    if service.deduped == clients - 1:
+                        break
+                    await asyncio.sleep(0.01)
+                release.set()
+                finals = await pending
             return service, finals
 
         service, finals = run_service(tmp_path, body, workers=4)
