@@ -15,11 +15,15 @@ verification — keyed by a *content address*:
   set or verifier change semantics.
 
 Verified :class:`~repro.synthesis.cegis.CEGISResult` summaries (and
-definitive failures) are persisted to a JSON store
-(:mod:`repro.cache.store`) so warm runs skip synthesis entirely.
+definitive failures) are persisted to a sharded directory of append
+logs (:mod:`repro.cache.store`, :mod:`repro.cache.shards`) so warm runs
+skip synthesis entirely.  Compiled native artifacts and tuned-schedule
+winners live in two content-addressed file stores built on one
+integrity-checked primitive, :class:`~repro.cache.blobs.BlobStore`.
 """
 
 from repro.cache.artifacts import ArtifactStore, artifact_key
+from repro.cache.blobs import BlobStore
 from repro.cache.integrity import (
     CacheIntegrityWarning,
     StaleVersionWarning,
@@ -44,7 +48,6 @@ from repro.cache.schedules import (
 from repro.cache.shards import (
     SHARD_FORMAT,
     ShardedStore,
-    read_legacy_store,
     shard_path,
     shard_prefix,
 )
@@ -52,6 +55,7 @@ from repro.cache.store import CachedOutcome, SynthesisCache
 
 __all__ = [
     "ArtifactStore",
+    "BlobStore",
     "CODE_VERSION",
     "CacheIntegrityWarning",
     "CachedOutcome",
@@ -63,7 +67,6 @@ __all__ = [
     "ShardedStore",
     "StaleVersionWarning",
     "SynthesisCache",
-    "read_legacy_store",
     "shard_path",
     "shard_prefix",
     "artifact_key",

@@ -8,23 +8,13 @@ an output cache: this store keys every ``.so`` by the SHA-256 of that
 triple, so a warm run ``dlopen``\\ s the cached artifact instead of
 re-lowering and re-compiling anything.
 
-Layout: artifacts are bucketed into ``<root>/<prefix>/`` shard
-subdirectories by the first two characters of their key (the shared
-:func:`~repro.cache.shards.shard_path` helper), each holding
-``<key>.so`` plus a ``<key>.json`` metadata sidecar (kernel name,
+Layout, atomic publication under per-shard locks and the sha256
+integrity check come from :class:`~repro.cache.blobs.BlobStore`: each
+artifact is ``<key>.so`` next to a ``<key>.meta`` sidecar (kernel name,
 schedule, source digest, compiler fingerprint, creation time, and the
-SHA-256 of the published ``.so`` bytes).  Writers publish atomically
-(temp file + ``os.replace``) under a *per-shard* crash-reclaimable
-:class:`~repro.cache.locks.FileLock`, so concurrent processes sharing a
-store directory only contend when publishing into the same bucket, never
-observe half-written artifacts, and a killed writer never wedges the
-store.
-
-Integrity: loads verify the ``.so`` bytes against the digest recorded
-at publication.  A mismatch (truncation, bit rot, an injected fault)
-quarantines both files aside as ``*.corrupt-<n>`` with a
-:class:`~repro.cache.integrity.CacheIntegrityWarning` and reports a
-miss, so the caller recompiles instead of ``dlopen``\\ ing garbage.
+SHA-256 of the published bytes).  A truncated or bit-flipped ``.so``
+is quarantined and reported as a miss, so the caller recompiles instead
+of ``dlopen``\\ ing garbage.
 
 The store keeps per-instance counters (artifact hits/misses, compiles
 performed, compile seconds) which the benchmarks publish next to the
@@ -34,17 +24,11 @@ speedup JSON — a warm run is *verified* warm by ``compiles == 0``.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
-import time
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.cache.integrity import quarantine_file, sha256_bytes
-from repro.cache.locks import FileLock, LockTimeout
-from repro.cache.shards import shard_path
-from repro.testing import faultinject
+from repro.cache.blobs import BlobStore
 
 # Bump when the artifact layout or the generated-code ABI changes: old
 # artifacts become unreachable (new keys) rather than wrongly loaded.
@@ -52,7 +36,8 @@ from repro.testing import faultinject
 # "3" added the trailing ``int64_t threads`` entry-point argument (the
 # threaded parallel-band dispatch) — pre-thread .so files must never be
 # called through the new signature.
-ARTIFACT_FORMAT = "native-artifact-3"
+# "4" moved the sidecar to ``<key>.meta`` (the shared BlobStore layout).
+ARTIFACT_FORMAT = "native-artifact-4"
 
 
 def artifact_key(source: str, toolchain_fingerprint: str) -> str:
@@ -72,7 +57,7 @@ def artifact_key(source: str, toolchain_fingerprint: str) -> str:
     return digest.hexdigest()
 
 
-class ArtifactStore:
+class ArtifactStore(BlobStore):
     """A directory of content-addressed compiled kernels.
 
     Parameters
@@ -80,163 +65,40 @@ class ArtifactStore:
     directory:
         Where artifacts live; created on first write.
     lock_timeout:
-        Passed to the publish-time :class:`FileLock`; on timeout the
-        artifact is still produced for this process (from its temp
-        build), it just is not published to the shared directory.
+        Patience for the publish-time lock; on timeout the artifact is
+        still produced for this process (from its temp build), it just
+        is not published to the shared directory.
     """
 
     def __init__(self, directory: "os.PathLike[str] | str", lock_timeout: float = 10.0):
-        self.directory = Path(directory)
-        self.lock_timeout = lock_timeout
-        self.hits = 0
-        self.misses = 0
+        super().__init__(directory, ".so", "artifact-publish", "artifact-so", lock_timeout)
         self.compiles = 0
         self.compile_seconds = 0.0
 
-    # ------------------------------------------------------------------
-    # Lookup / publish
-    # ------------------------------------------------------------------
-    def shard_dir(self, key: str) -> Path:
-        """The ``<root>/<prefix>/`` bucket holding ``key``'s files."""
-        return shard_path(self.directory, key)
-
-    def publish_lock_path(self, key: str) -> Path:
-        """The per-shard lock publications into ``key``'s bucket take."""
-        return Path(str(self.shard_dir(key)) + ".lock")
-
-    def so_path(self, key: str) -> Path:
-        return self.shard_dir(key) / f"{key}.so"
-
-    def meta_path(self, key: str) -> Path:
-        return self.shard_dir(key) / f"{key}.json"
-
-    def _verify(self, key: str) -> bool:
-        """Do the ``.so`` bytes still match the digest published with them?
-
-        ``False`` quarantines the artifact and its sidecar: a sidecar
-        that is missing, unparseable or digest-less is treated exactly
-        like a byte mismatch, because an artifact whose integrity cannot
-        be checked cannot be trusted either.
-        """
-        path = self.so_path(key)
-        meta = self.meta_path(key)
-        expected: Optional[str] = None
-        try:
-            with open(meta, "r", encoding="utf-8") as handle:
-                sidecar = json.load(handle)
-            if isinstance(sidecar, dict):
-                expected = sidecar.get("sha256")
-        except (OSError, ValueError):
-            expected = None
-        actual: Optional[str] = None
-        if expected is not None:
-            try:
-                actual = sha256_bytes(path.read_bytes())
-            except OSError:
-                actual = None
-        if expected is not None and actual == expected:
-            return True
-        reason = (
-            f"artifact {key[:16]} digest mismatch"
-            if expected is not None
-            else f"artifact {key[:16]} has no integrity digest"
-        )
-        quarantine_file(path, reason)
-        if meta.is_file():
-            quarantine_file(meta, reason)
-        return False
-
-    def get(self, key: str) -> Optional[Path]:
-        """Path of the cached, integrity-verified shared object, or ``None``.
-
-        A truncated or bit-flipped artifact (or one missing its digest)
-        is quarantined and counted as a miss — the caller recompiles and
-        republishes, overwriting nothing.
-        """
-        path = self.so_path(key)
-        if path.is_file() and self._verify(key):
-            self.hits += 1
-            return path
-        self.misses += 1
-        return None
+    so_path = BlobStore.blob_path
 
     def put(self, key: str, built_so: "os.PathLike[str] | str", metadata: Optional[Dict[str, Any]] = None) -> Path:
         """Publish a freshly compiled ``.so`` under ``key``; returns its path.
 
         The build itself happens outside the store (and outside the
-        lock); publishing copies the file next to a metadata sidecar
-        carrying the SHA-256 of the published bytes, with atomic
-        replaces.  If another process published the same key first, its
-        artifact wins (the contents are identical by construction) —
-        but only after re-verifying it: a corrupt pre-existing artifact
-        is quarantined and replaced by this build.
+        lock).  If another process published the same key first, its
+        artifact wins (the contents are identical by construction) once
+        it re-verifies.  A lock timeout returns ``built_so`` itself: the
+        private build stays usable, the shared store is just not updated.
         """
-        faultinject.fire("artifact-publish", key)
-        target = self.so_path(key)
-        bucket = self.shard_dir(key)
-        bucket.mkdir(parents=True, exist_ok=True)
-        built_bytes = Path(built_so).read_bytes()
-        digest = sha256_bytes(built_bytes)
-        lock = FileLock(self.publish_lock_path(key), timeout=self.lock_timeout)
-        try:
-            lock.acquire()
-        except LockTimeout:
-            return Path(built_so)  # keep the private build; skip publishing
-        try:
-            if target.is_file() and self._verify(key):
-                return target
-            fd, tmp_name = tempfile.mkstemp(prefix=key[:16] + ".", suffix=".so.tmp", dir=str(bucket))
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(built_bytes)
-                os.replace(tmp_name, target)
-                faultinject.corrupt_file("artifact-so", key, target)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            sidecar = {
-                "format": ARTIFACT_FORMAT,
-                "created": time.time(),
-                "size": len(built_bytes),
-                "sha256": digest,
-            }
-            sidecar.update(metadata or {})
-            meta_path = self.meta_path(key)
-            fd, tmp_name = tempfile.mkstemp(prefix=key[:16] + ".", suffix=".json.tmp", dir=str(bucket))
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(sidecar, handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, meta_path)
-            return target
-        finally:
-            lock.release()
+        sidecar = {"format": ARTIFACT_FORMAT, **(metadata or {})}
+        published = super().put(key, Path(built_so).read_bytes(), sidecar)
+        return Path(built_so) if published is None else published
 
     def note_compile(self, seconds: float) -> None:
         """Record one toolchain invocation (for the cold-vs-warm stats)."""
         self.compiles += 1
         self.compile_seconds += seconds
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def entry_count(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for path in self.directory.rglob("*.so"))
-
-    def total_bytes(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(path.stat().st_size for path in self.directory.rglob("*.so"))
-
     def stats(self) -> Dict[str, Any]:
-        """JSON-able counters for benchmark/CI publication."""
         return {
-            "directory": str(self.directory),
-            "entries": self.entry_count(),
-            "bytes": self.total_bytes(),
+            **super().stats(),
+            "bytes": sum(path.stat().st_size for path in self.directory.rglob("*.so")),
             "artifact_hits": self.hits,
             "artifact_misses": self.misses,
             "compiles": self.compiles,

@@ -4,17 +4,20 @@ A torn write (power loss mid-``write``, a full disk, an injected fault)
 leaves a store file that no longer decodes, or a compiled artifact whose
 bytes no longer match their recorded digest.  The old behaviour —
 silently treating the file as empty — meant the very next save
-*overwrote the evidence*, making corruption bugs unreproducible.  Both
-stores now route through :func:`quarantine_file`: the damaged file is
+*overwrote the evidence*, making corruption bugs unreproducible.  Every
+store routes through :func:`quarantine_file`: the damaged file is
 renamed aside as ``<path>.corrupt-<n>`` (first free ``n``) and a
 :class:`CacheIntegrityWarning` is emitted, so the run still degrades
-gracefully but the forensic trail survives.
+gracefully but the forensic trail survives.  Whole-file rewrites go
+through :func:`atomic_write`, so a crash leaves the old file or the
+new one, never a torn mix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import warnings
 from pathlib import Path
 from typing import Optional
@@ -38,6 +41,25 @@ class StaleVersionWarning(CacheIntegrityWarning):
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` via a sibling temp file and ``os.replace``.
+
+    Readers see the old file or the new one, never a partial write; on
+    failure the temp file is removed and the error propagates.
+    """
+    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=str(path.parent))
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def quarantine_file(path: "os.PathLike[str] | str", reason: str) -> Optional[Path]:

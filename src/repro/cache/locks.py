@@ -44,9 +44,7 @@ def _pid_alive(pid: int) -> bool:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    except PermissionError:
-        return True
-    except OSError:
+    except OSError:  # EPERM and the like: the pid exists
         return True
     return True
 

@@ -14,16 +14,13 @@ summary by the SHA-256 of exactly that tuple, so a warm ``measure``-mode
 run performs **zero** measurements and zero compiler invocations — it
 loads the winner and moves on.
 
-Layout: records are bucketed into ``<root>/<prefix>/`` shard
-subdirectories by the first two characters of their key (the shared
-:func:`~repro.cache.shards.shard_path` helper), one ``<key>.json``
-record per file.  Writers publish atomically (temp file +
-``os.replace``) under a *per-shard* crash-reclaimable
-:class:`~repro.cache.locks.FileLock`.  Every record embeds the SHA-256
-of its own canonical content; a load that fails parsing, format or
-digest verification quarantines the record aside as ``*.corrupt-<n>``
-(:class:`~repro.cache.integrity.CacheIntegrityWarning`) and reports a
-miss, so the caller re-tunes instead of trusting a torn write.
+Layout, atomic publication under per-shard locks and integrity come
+from :class:`~repro.cache.blobs.BlobStore`: one ``<key>.json`` record
+per entry, checked against the SHA-256 in its ``<key>.meta`` sidecar.
+A record that fails the digest, does not parse or carries another
+:data:`SCHEDULE_FORMAT` is quarantined aside as ``*.corrupt-<n>``
+(:class:`~repro.cache.integrity.CacheIntegrityWarning`) and reported as
+a miss, so the caller re-tunes instead of trusting a torn write.
 
 Machine identity (:func:`machine_fingerprint`) deliberately covers the
 platform, architecture and core count but *not* the hostname: two
@@ -41,20 +38,17 @@ import hashlib
 import json
 import os
 import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
-from repro.cache.integrity import quarantine_file
-from repro.cache.locks import FileLock, LockTimeout
-from repro.cache.shards import shard_path
+from repro.cache.blobs import BlobStore
 from repro.halide.schedule import Schedule
-from repro.testing import faultinject
 
 # Bump when the record layout, the Schedule fields or the key recipe
 # change: old records become unreachable rather than wrongly reused.
-SCHEDULE_FORMAT = "tuned-schedule-1"
+# "2" moved the record digest into a ``<key>.meta`` sidecar (BlobStore).
+SCHEDULE_FORMAT = "tuned-schedule-2"
 
 
 def machine_fingerprint() -> str:
@@ -130,14 +124,7 @@ def schedule_from_payload(payload: Mapping[str, Any]) -> Schedule:
     )
 
 
-def _record_digest(record: Mapping[str, Any]) -> str:
-    """SHA-256 of the record's canonical JSON, excluding the digest field."""
-    stripped = {name: value for name, value in record.items() if name != "sha256"}
-    canonical = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class ScheduleStore:
+class ScheduleStore(BlobStore):
     """A directory of content-addressed tuned-schedule records.
 
     Parameters
@@ -145,110 +132,38 @@ class ScheduleStore:
     directory:
         Where records live; created on first write.
     lock_timeout:
-        Passed to the publish-time :class:`FileLock`; on timeout the
-        record simply is not published (the tuning result is still
-        returned to this process's caller).
+        Patience for the publish-time lock; on timeout the record simply
+        is not published (the tuning result is still returned to this
+        process's caller).
     """
 
     def __init__(self, directory: "os.PathLike[str] | str", lock_timeout: float = 10.0):
-        self.directory = Path(directory)
-        self.lock_timeout = lock_timeout
-        self.hits = 0
-        self.misses = 0
+        super().__init__(directory, ".json", "schedule-publish", "schedule-record", lock_timeout)
 
-    def shard_dir(self, key: str) -> Path:
-        """The ``<root>/<prefix>/`` bucket holding ``key``'s record."""
-        return shard_path(self.directory, key)
+    record_path = BlobStore.blob_path
 
-    def publish_lock_path(self, key: str) -> Path:
-        """The per-shard lock publications into ``key``'s bucket take."""
-        return Path(str(self.shard_dir(key)) + ".lock")
-
-    def record_path(self, key: str) -> Path:
-        return self.shard_dir(key) / f"{key}.json"
+    def _accepts(self, data: bytes) -> bool:
+        try:
+            record = json.loads(data)
+        except ValueError:
+            return False
+        return isinstance(record, dict) and record.get("format") == SCHEDULE_FORMAT
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The verified record for ``key``, or ``None`` (counted as a miss).
-
-        A record that is unreadable, unparseable, from another format
-        version, or whose bytes fail the embedded digest is quarantined
-        and reported as a miss — the caller re-tunes and republishes.
-        """
-        path = self.record_path(key)
-        if not path.is_file():
-            self.misses += 1
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            quarantine_file(path, f"schedule record {key[:16]} is unreadable")
-            self.misses += 1
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != SCHEDULE_FORMAT
-            or record.get("sha256") != _record_digest(record)
-        ):
-            quarantine_file(path, f"schedule record {key[:16]} failed verification")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
+        """The verified record for ``key``, or ``None`` (counted as a miss)."""
+        path = super().get(key)
+        return None if path is None else json.loads(path.read_bytes())
 
     def put(self, key: str, record: Mapping[str, Any]) -> Optional[Path]:
         """Publish one tuning outcome under ``key``; returns its path.
 
-        The store stamps the format version, creation time and content
-        digest; publication is atomic and lock-protected.  A lock
-        timeout skips publishing (returns ``None``) rather than risking
-        a torn record — the caller keeps its in-memory result.
+        The store stamps the format version and creation time.  A lock
+        timeout skips publishing (returns ``None``) — the caller keeps
+        its in-memory result.
         """
-        faultinject.fire("schedule-publish", key)
-        stamped: Dict[str, Any] = dict(record)
-        stamped["format"] = SCHEDULE_FORMAT
-        stamped["created"] = time.time()
-        stamped["sha256"] = _record_digest(stamped)
-        target = self.record_path(key)
-        bucket = self.shard_dir(key)
-        bucket.mkdir(parents=True, exist_ok=True)
-        lock = FileLock(self.publish_lock_path(key), timeout=self.lock_timeout)
-        try:
-            lock.acquire()
-        except LockTimeout:
-            return None
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=key[:16] + ".", suffix=".json.tmp", dir=str(bucket)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(stamped, handle, indent=2, sort_keys=True)
-                os.replace(tmp_name, target)
-                faultinject.corrupt_file("schedule-record", key, target)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            return target
-        finally:
-            lock.release()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def entry_count(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.rglob("*.json"))
+        stamped = {**record, "format": SCHEDULE_FORMAT, "created": time.time()}
+        data = json.dumps(stamped, indent=2, sort_keys=True).encode("utf-8")
+        return super().put(key, data)
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-able counters for benchmark/CI publication."""
-        return {
-            "directory": str(self.directory),
-            "entries": self.entry_count(),
-            "schedule_hits": self.hits,
-            "schedule_misses": self.misses,
-        }
+        return {**super().stats(), "schedule_hits": self.hits, "schedule_misses": self.misses}

@@ -1,12 +1,9 @@
 """Sharded, append-compacted persistence for the synthesis store.
 
-The legacy synthesis store is one JSON file rewritten whole on every
-save under a single lock — correct, but every writer serializes on one
-file and every save pays O(store).  This module is the many-writer
-replacement: entries are distributed over per-shard **append logs** by
-fingerprint prefix, so concurrent writers touching different shards
-never contend, a save appends only the entries recorded since the last
-save, and a torn write can damage at most the final line of one shard.
+Entries are distributed over per-shard **append logs** by fingerprint
+prefix, so concurrent writers touching different shards never contend,
+a save appends only the entries recorded since the last save, and a
+torn write can damage at most the final line of one shard.
 
 Layout: a directory of ``shard-<p>.jsonl`` files, ``p`` the
 :func:`shard_prefix` of the entry fingerprint (one lowercase hex/alnum
@@ -35,20 +32,21 @@ per-shard lock.  :meth:`ShardedStore.compact` forces a full sweep.
 Version skew: records carry the code version they were written with;
 loads discard other-version records with a
 :class:`~repro.cache.integrity.StaleVersionWarning` naming the count —
-explicit invalidation, exactly like the legacy store, but per record
-instead of per file.
+explicit invalidation, per record.
 
-Migration: pointing a :class:`ShardedStore` at a path holding a
-*legacy single-JSON store file* imports every entry into shards —
-built in a private temp directory, then published with two renames so
-no reader ever observes a half-migrated store — and preserves the
-original byte-for-byte as ``<path>.migrated``.  Re-opening an
-already-migrated store is a no-op, and concurrent openers serialize on
-a migration lock, so migration is idempotent.
+Migration: pointing a :class:`ShardedStore` at a path holding a store
+file in the retired *single-JSON format* imports every entry into
+shards — built in a private temp directory, then published with two
+renames so no reader ever observes a half-migrated store — and
+preserves the original byte-for-byte as ``<path>.migrated``.  A file
+too corrupt to decode is quarantined as ``<path>.corrupt-<n>`` instead
+and an empty store takes its place.  Re-opening an already-migrated
+store is a no-op, and concurrent openers serialize on a migration lock,
+so migration is idempotent.
 
-:func:`shard_prefix`/:func:`shard_path` are shared with the
-compiled-artifact and tuned-schedule stores, which bucket their
-content-addressed files into ``<root>/<prefix>/`` subdirectories with
+:func:`shard_prefix`/:func:`shard_path` are shared with
+:class:`~repro.cache.blobs.BlobStore`, which buckets the compiled-artifact
+and tuned-schedule files into ``<root>/<prefix>/`` subdirectories with
 per-shard publication locks (same helper, two-character prefix).
 
 Fault-injection hook sites (see :mod:`repro.testing.faultinject`):
@@ -62,16 +60,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.cache.fingerprint import CODE_VERSION
 from repro.cache.integrity import (
     CacheIntegrityWarning,
     StaleVersionWarning,
+    atomic_write,
     quarantine_file,
 )
 from repro.cache.locks import FileLock, LockTimeout
@@ -105,21 +105,15 @@ def shard_path(root: "os.PathLike[str] | str", key: str, width: int = 2) -> Path
     return Path(root) / shard_prefix(key, width)
 
 
-def read_legacy_store(
-    path: "os.PathLike[str] | str",
-    code_version: str,
-    statuses: Sequence[str] = _STATUS_VALUES,
-) -> Dict[str, Dict[str, Any]]:
-    """Decode a legacy single-file JSON store.
+def _read_legacy_store(path: Path, code_version: str) -> Dict[str, Dict[str, Any]]:
+    """Decode a store file in the retired single-JSON format.
 
-    Shared by the legacy :class:`~repro.cache.store.SynthesisCache`
-    backend and by :class:`ShardedStore` migration.  A missing or
-    unreadable file is an empty store; a corrupt file is quarantined
-    aside with a :class:`CacheIntegrityWarning`; a version-skewed file
-    discards every entry with a :class:`StaleVersionWarning` carrying
-    the discarded count (explicit invalidation, not corruption).
+    A missing or unreadable file is an empty store; a corrupt file is
+    quarantined aside with a :class:`CacheIntegrityWarning`; a
+    version-skewed file discards every entry with a
+    :class:`StaleVersionWarning` carrying the discarded count (explicit
+    invalidation, not corruption).
     """
-    path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -131,7 +125,7 @@ def read_legacy_store(
         decoded = {
             str(fp): entry
             for fp, entry in entries.items()
-            if isinstance(entry, dict) and entry.get("status") in statuses
+            if isinstance(entry, dict) and entry.get("status") in _STATUS_VALUES
         }
         if data.get("version") != code_version:
             if decoded:
@@ -160,8 +154,9 @@ class ShardedStore:
     ----------
     root:
         The store directory.  If a *file* exists at this path it is
-        treated as a legacy single-JSON store and migrated into shards
-        (original preserved as ``<root>.migrated``).
+        treated as a store in the retired single-JSON format and
+        migrated into shards (original preserved as
+        ``<root>.migrated``).
     code_version:
         Stamped into every appended record; other-version records are
         discarded on load (with a :class:`StaleVersionWarning`) and
@@ -282,11 +277,16 @@ class ShardedStore:
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def _encode_record(self, fingerprint: str, entry: Dict[str, Any]) -> str:
-        return json.dumps(
-            {"fp": fingerprint, "version": self.code_version, "entry": entry},
-            sort_keys=True,
-            separators=(",", ":"),
+    def _encode_lines(self, entries: Mapping[str, Dict[str, Any]]) -> str:
+        """One newline-terminated log record per entry, in key order."""
+        return "".join(
+            json.dumps(
+                {"fp": fp, "version": self.code_version, "entry": entries[fp]},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for fp in sorted(entries)
         )
 
     @staticmethod
@@ -337,12 +337,8 @@ class ShardedStore:
             try:
                 faultinject.fire("shard-append", name)
                 self._heal_torn_tail(path)
-                lines = "".join(
-                    self._encode_record(fp, entry) + "\n"
-                    for fp, entry in group.items()
-                )
                 with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(lines)
+                    handle.write(self._encode_lines(group))
                 faultinject.corrupt_file("shard-log", name, path)
                 try:
                     self._maybe_compact_locked(path)
@@ -382,68 +378,46 @@ class ShardedStore:
     def _rewrite_locked(self, path: Path, entries: Dict[str, Dict[str, Any]]) -> None:
         """Atomically replace a shard log with its compacted form."""
         faultinject.fire("shard-compact", path.name)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=str(self.root)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for fingerprint in sorted(entries):
-                    handle.write(self._encode_record(fingerprint, entries[fingerprint]) + "\n")
-            os.replace(tmp_name, path)
-            self.compactions += 1
-            faultinject.corrupt_file("shard-file", path.name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, self._encode_lines(entries).encode("utf-8"))
+        self.compactions += 1
+        faultinject.corrupt_file("shard-file", path.name, path)
 
     def compact(self) -> Dict[str, int]:
         """Force-compact every shard; returns before/after record counts."""
         before = after = shards = 0
         for path in self.shard_files():
-            lock = self._shard_lock(path)
             try:
-                lock.acquire()
-            except (LockTimeout, OSError):
-                continue
-            try:
-                entries, records, _stale, _damaged = self._decode_shard(path)
-                before += records
-                self._rewrite_locked(path, entries)
-                after += len(entries)
-                shards += 1
-            finally:
-                lock.release()
+                with self._shard_lock(path):
+                    entries, records, _stale, _damaged = self._decode_shard(path)
+                    self._rewrite_locked(path, entries)
+            except LockTimeout:
+                continue  # a live writer holds this shard; skip it
+            before += records
+            after += len(entries)
+            shards += 1
         return {"shards": shards, "records_before": before, "records_after": after}
 
     def clear(self) -> None:
-        """Remove every shard log (each under its lock)."""
+        """Remove every shard log (each under its lock; busy shards stay)."""
         for path in self.shard_files():
-            lock = self._shard_lock(path)
             try:
-                lock.acquire()
-            except (LockTimeout, OSError):
-                continue
-            try:
-                try:
+                with self._shard_lock(path):
                     os.unlink(path)
-                except OSError:
-                    pass
-            finally:
-                lock.release()
+            except OSError:
+                continue
 
     # ------------------------------------------------------------------
     # Legacy migration
     # ------------------------------------------------------------------
     def _migrate_legacy_file(self) -> None:
-        """Import a legacy single-JSON store found at ``self.root``.
+        """Import a single-JSON store file found at ``self.root``.
 
         The shards are built in a private temp directory, then
         published with two renames: the legacy file moves aside to
         ``<root>.migrated`` (preserved byte-for-byte) and the temp
-        directory takes its place.  Concurrent openers serialize on a
+        directory takes its place.  A file that does not decode has
+        already been quarantined by the read, so only the (empty) temp
+        directory is published.  Concurrent openers serialize on a
         migration lock and re-check, so exactly one migrates; opening
         an already-migrated store is a no-op.
         """
@@ -456,7 +430,7 @@ class ShardedStore:
         try:
             if not self.root.is_file():
                 return  # another opener migrated while we waited
-            entries = read_legacy_store(self.root, self.code_version)
+            entries = _read_legacy_store(self.root, self.code_version)
             tmp_dir = Path(
                 tempfile.mkdtemp(
                     prefix=self.root.name + ".migrating-", dir=str(self.root.parent)
@@ -467,18 +441,12 @@ class ShardedStore:
                 for fingerprint, entry in entries.items():
                     groups.setdefault(self.shard_name(fingerprint), {})[fingerprint] = entry
                 for name, group in groups.items():
-                    with open(tmp_dir / name, "w", encoding="utf-8") as handle:
-                        for fp in sorted(group):
-                            handle.write(self._encode_record(fp, group[fp]) + "\n")
-                os.replace(self.root, str(self.root) + ".migrated")
+                    (tmp_dir / name).write_text(self._encode_lines(group), encoding="utf-8")
+                if self.root.is_file():  # not quarantined by the read
+                    os.replace(self.root, str(self.root) + ".migrated")
                 os.rename(tmp_dir, self.root)
             except OSError:
-                try:
-                    for stray in tmp_dir.glob("*"):
-                        stray.unlink()
-                    tmp_dir.rmdir()
-                except OSError:
-                    pass
+                shutil.rmtree(tmp_dir, ignore_errors=True)
                 raise
         finally:
             lock.release()

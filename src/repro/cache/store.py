@@ -6,69 +6,51 @@ verified summary) — both outcomes are deterministic functions of the
 fingerprinted inputs (:mod:`repro.cache.fingerprint`), so warm runs can
 replay them without re-synthesizing.
 
-Two persistence backends share one :class:`SynthesisCache` API, chosen
-by the shape of ``path``:
+The store is a directory of per-fingerprint-prefix append logs
+(:class:`~repro.cache.shards.ShardedStore`) with periodic compaction
+and per-shard locks, safe for many concurrent writers: a save appends
+only the entries recorded since the last save.  A store *file* left at
+the path by the retired single-JSON format is imported once on open
+(original preserved as ``<path>.migrated``).
 
-* a path ending in ``.json`` selects the **legacy single-file**
-  backend: one JSON document rewritten whole by every save, under a
-  lock-protected read-merge-replace; fine for one writer, a bottleneck
-  for many;
-* any other path selects the **sharded** backend
-  (:class:`~repro.cache.shards.ShardedStore`): a directory of
-  per-fingerprint-prefix append logs with periodic compaction and
-  per-shard locks, safe for many concurrent writers — saves append
-  only the entries recorded since the last save.  Pointing the sharded
-  backend at a legacy store *file* migrates it in place (original
-  preserved as ``<path>.migrated``).  The ``sharded`` parameter
-  overrides the suffix rule either way.
+Robustness rules:
 
-Robustness rules (both backends):
-
-* a missing or unreadable store is treated as empty — a warm run
-  silently degrades to a cold one; a *corrupted* single-file store
-  (torn write, truncation, injected fault) is quarantined aside as
-  ``<path>.corrupt-<n>`` with a
-  :class:`~repro.cache.integrity.CacheIntegrityWarning`, while a torn
-  shard log merely skips the damaged lines and keeps every other
-  record, so the evidence (or the bulk of the store) survives;
+* a missing store is treated as empty — a warm run silently degrades to
+  a cold one; a torn shard log skips the damaged lines with a
+  :class:`~repro.cache.integrity.CacheIntegrityWarning` and keeps every
+  other record, and a corrupt legacy file is quarantined aside as
+  ``<path>.corrupt-<n>`` before an empty store takes its place, so the
+  evidence (or the bulk of the store) survives;
 * entries carry the :data:`~repro.cache.fingerprint.CODE_VERSION` they
   were written with; a version mismatch discards the stale entries with
   a :class:`~repro.cache.integrity.StaleVersionWarning` naming the
   discarded count (explicit invalidation when templates/strategies
   change), while option changes invalidate implicitly because they
   change the fingerprint;
-* writes are atomic (temp file + ``os.replace``, or newline-delimited
-  appends whose torn tails are healed and skipped) and serialized
-  through crash-reclaimable :class:`~repro.cache.locks.FileLock`\\ s: a
-  writer killed mid-save leaves a lock file behind, and the next save
-  detects the dead holder (pid liveness, then age) and reclaims it
-  instead of deadlocking the warm run;
-* entries created since construction are exposed via
-  :meth:`SynthesisCache.new_entries` so process-pool workers can ship
-  them back to the parent, which merges and saves once — workers never
-  write the store and therefore never race each other.
+* appends are newline-delimited records whose torn tails are healed
+  and skipped, serialized per shard through crash-reclaimable
+  :class:`~repro.cache.locks.FileLock`\\ s: a writer killed mid-save
+  leaves a lock file behind, and the next save detects the dead holder
+  (pid liveness, then age) and reclaims it instead of deadlocking the
+  warm run;
+* entries created since the last drain are handed out by
+  :meth:`SynthesisCache.drain_new_entries` so process-pool workers can
+  ship them back to the parent, which merges and saves once — workers
+  never write the store and therefore never race each other.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
-import warnings
-
 from repro.ir import nodes as ir
-from repro.cache.artifacts import ArtifactStore
 from repro.cache.fingerprint import CODE_VERSION, fingerprint_synthesis
-from repro.cache.integrity import CacheIntegrityWarning, quarantine_file
-from repro.cache.locks import FileLock, LockTimeout
 from repro.cache.serialize import CachePayloadError, result_from_payload, result_to_payload
-from repro.cache.shards import ShardedStore, read_legacy_store
-from repro.testing import faultinject
+from repro.cache.shards import ShardedStore
 
 _STATUS_VERIFIED = "verified"
 _STATUS_FAILURE = "failure"
@@ -99,30 +81,23 @@ class SynthesisCache:
     Parameters
     ----------
     path:
-        JSON file backing the cache; ``None`` keeps the cache purely
-        in-memory (useful for tests and for pool workers that ship
-        entries back to the parent instead of writing).
+        Directory of the sharded store backing the cache; ``None`` keeps
+        the cache purely in-memory (useful for tests and for pool
+        workers that ship entries back to the parent instead of
+        writing).
     autosave:
         Persist after every recorded entry — durable by default (a
-        crash loses nothing), but each save rewrites the whole store,
-        so a long sweep pays O(n²) in store size.  Batch users (and the
-        batch scheduler, automatically) disable this and call
+        crash loses nothing).  Each save appends only the new entries
+        but then re-reads the whole store to fold in other writers'
+        entries, so a long sweep still pays O(n²) in reads.  Batch users
+        (and the batch scheduler, automatically) disable this and call
         :meth:`save` once.
     cache_failures:
         Also record definitive synthesis failures so warm runs skip the
         (typically slowest) exhausted-space kernels.  Set to ``False``
         to re-attempt failed kernels on every run.
-    artifact_dir:
-        Optional directory for the compiled-artifact side store
-        (:class:`~repro.cache.artifacts.ArtifactStore`): native-backend
-        shared objects content-addressed next to the synthesis
-        outcomes, so a warm run loads ``.so`` files instead of
-        re-compiling.  ``None`` (the default) keeps native compilation
-        per-process only.
-    sharded:
-        Force the sharded (``True``) or legacy single-file (``False``)
-        backend; ``None`` (the default) picks by suffix — ``.json``
-        paths stay single-file, anything else is a sharded directory.
+    lock_timeout:
+        Per-shard lock patience for saves (see :meth:`save`).
     """
 
     def __init__(
@@ -131,159 +106,55 @@ class SynthesisCache:
         code_version: str = CODE_VERSION,
         autosave: bool = True,
         cache_failures: bool = True,
-        artifact_dir: "os.PathLike[str] | str | None" = None,
         lock_timeout: float = 10.0,
-        sharded: Optional[bool] = None,
     ):
         self.path = Path(path) if path is not None else None
         self.code_version = code_version
         self.autosave = autosave
         self.cache_failures = cache_failures
         self.lock_timeout = lock_timeout
-        self.artifacts: Optional[ArtifactStore] = (
-            ArtifactStore(artifact_dir) if artifact_dir is not None else None
-        )
         self.hits = 0
         self.misses = 0
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._new: Dict[str, Dict[str, Any]] = {}
-        # Entries recorded or merged since the last successful save —
-        # what the sharded backend appends (the legacy backend rewrites
-        # everything, so it never consults this).
-        self._dirty: Dict[str, Dict[str, Any]] = {}
-        if sharded is None:
-            sharded = self.path is not None and self.path.suffix != ".json"
         self._shards: Optional[ShardedStore] = (
             ShardedStore(self.path, code_version=code_version, lock_timeout=lock_timeout)
-            if sharded and self.path is not None
+            if self.path is not None
             else None
         )
-        if self.path is not None:
-            self._load()
-
-    @property
-    def sharded(self) -> bool:
-        """Is this cache backed by a :class:`ShardedStore` directory?"""
-        return self._shards is not None
+        self._entries: Dict[str, Dict[str, Any]] = (
+            self._shards.load_all() if self._shards is not None else {}
+        )
+        self._new: Dict[str, Dict[str, Any]] = {}
+        # Entries recorded or merged since the last successful save:
+        # what the next save appends.
+        self._dirty: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _read_disk_entries(self, warn: bool = True) -> Dict[str, Dict[str, Any]]:
-        """Decode the backing store; corruption degrades, version skew warns."""
-        assert self.path is not None
-        if self._shards is not None:
-            return self._shards.load_all(warn=warn)
-        return read_legacy_store(
-            self.path, self.code_version, statuses=(_STATUS_VERIFIED, _STATUS_FAILURE)
-        )
-
-    def _load(self) -> None:
-        """Load the backing file; any corruption degrades to an empty cache."""
-        self._entries = self._read_disk_entries()
-
     def save(self, merge: bool = True) -> None:
-        """Atomically persist every entry to the backing file.
+        """Persist the entries recorded since the last save.
 
-        With ``merge`` (the default) the on-disk store is re-read first
-        and entries recorded there by *other* writers since our load are
-        kept: the save is a read-modify-write against the freshest disk
-        state, with our own entries winning any fingerprint collision.
-        Without this, two processes sharing a store path would each
-        rewrite the file from their private snapshot and the last
-        ``os.replace`` would silently drop the other's entries.  The
-        read-merge-replace sequence runs under a
-        :class:`~repro.cache.locks.FileLock` so truly concurrent
-        writers serialize; the lock reclaims itself when a previous
-        writer died between acquire and release (pid liveness + age),
-        so a crashed save can never deadlock later runs.  If the lock
-        still cannot be acquired within ``lock_timeout`` seconds — a
-        *live* holder is genuinely in there — the save degrades to an
-        in-memory-only merge: the disk entries are folded into this
-        instance but the file is left untouched (writing unlocked could
-        drop the live holder's entries), and a
-        :class:`~repro.cache.integrity.CacheIntegrityWarning` notes the
-        skipped write.  ``merge=False`` writes exactly the in-memory
-        entries (used by :meth:`clear`, where resurrecting disk entries
-        would defeat the point).
-
-        A sharded cache implements the same contract by appending: a
-        merge-save appends only the entries recorded since the last
-        save (each shard under its own lock, compacting when a shard
-        has accumulated dead records) and then folds other writers'
-        on-disk entries into memory; a shard whose lock is busy keeps
-        its entries dirty for the next save.
+        With ``merge`` (the default) the save appends the dirty entries,
+        each shard under its own crash-reclaimable
+        :class:`~repro.cache.locks.FileLock` (compacting a shard once it
+        has accumulated dead records), then re-reads the store and folds
+        entries recorded there by *other* writers into memory, our own
+        entries winning any fingerprint collision.  A shard whose lock
+        a *live* holder keeps past ``lock_timeout`` is skipped with a
+        :class:`~repro.cache.integrity.CacheIntegrityWarning`: its
+        entries stay dirty (in memory) for the next save and its log is
+        left untouched.  ``merge=False`` replaces the store with exactly
+        the in-memory entries (used by :meth:`clear`, where resurrecting
+        disk entries would defeat the point).
         """
-        if self.path is None:
+        if self._shards is None:
             return
-        if self._shards is not None:
-            self._save_sharded(merge)
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        lock: Optional[FileLock] = None
-        if merge:
-            lock = FileLock(str(self.path) + ".lock", timeout=self.lock_timeout)
-            try:
-                lock.acquire()
-            except (LockTimeout, OSError):
-                # A live writer holds the lock.  Fold its entries into
-                # memory and skip the write — results are preserved for
-                # this process, and the holder's file stays intact.
-                disk = self._read_disk_entries()
-                if disk:
-                    merged = dict(disk)
-                    merged.update(self._entries)
-                    self._entries = merged
-                warnings.warn(
-                    f"synthesis store lock busy: kept {len(self._entries)} "
-                    "entries in memory without writing "
-                    f"{self.path.name}",
-                    CacheIntegrityWarning,
-                    stacklevel=2,
-                )
-                return
-        try:
-            if merge:
-                disk = self._read_disk_entries()
-                if disk:
-                    merged = dict(disk)
-                    merged.update(self._entries)
-                    self._entries = merged
-            data = {"version": self.code_version, "entries": self._entries}
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=self.path.name + ".", suffix=".tmp", dir=str(self.path.parent)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(data, handle, sort_keys=True, separators=(",", ":"))
-                os.replace(tmp_name, self.path)
-                faultinject.corrupt_file("store-file", str(self.path), self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        finally:
-            if lock is not None:
-                lock.release()
-        self._dirty = {}
-
-    def _save_sharded(self, merge: bool) -> None:
-        """Append-path save for the sharded backend."""
-        assert self._shards is not None
         if not merge:
-            # Exact-contents save (clear): drop every shard, then
-            # re-append whatever is in memory.
             self._shards.clear()
             self._dirty = self._shards.append(dict(self._entries))
             return
         self._dirty = self._shards.append(self._dirty)
-        disk = self._shards.load_all(warn=False)
-        if disk:
-            merged = dict(disk)
-            merged.update(self._entries)
-            self._entries = merged
+        self._entries = {**self._shards.load_all(warn=False), **self._entries}
 
     def clear(self) -> None:
         self._entries = {}
@@ -364,16 +235,12 @@ class SynthesisCache:
     # ------------------------------------------------------------------
     # Cross-process entry shipping
     # ------------------------------------------------------------------
-    def new_entries(self) -> Dict[str, Dict[str, Any]]:
-        """Entries recorded by this instance (picklable, JSON-ready)."""
-        return dict(self._new)
-
     def drain_new_entries(self) -> Dict[str, Dict[str, Any]]:
-        """Like :meth:`new_entries`, but resets the tracker.
+        """Entries recorded since the last drain (picklable, JSON-ready).
 
-        Long-lived pool workers call this after each job so every entry
-        is shipped to the parent exactly once (the entries themselves
-        stay in the worker's in-memory cache for intra-batch hits).
+        Pool workers call this after each job so every entry is shipped
+        to the parent exactly once (the entries themselves stay in the
+        worker's in-memory cache for intra-batch hits).
         """
         drained = self._new
         self._new = {}

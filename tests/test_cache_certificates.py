@@ -57,8 +57,7 @@ def _record_in_process(path: str, fingerprint: str) -> int:
 class TestMultiWriterStore:
     def test_concurrent_instances_do_not_lose_entries(self, tmp_path):
         # Both instances load the (empty) store before either saves:
-        # without merge-on-save the second os.replace drops the first
-        # writer's entry.
+        # each save must keep the other writer's entry.
         path = tmp_path / "store.json"
         writer_a = SynthesisCache(path)
         writer_b = SynthesisCache(path)
@@ -179,11 +178,12 @@ class TestCertificateReplay:
         # Corrupt the stored candidate (different rhs, same structure):
         # the digest no longer matches the certificate, so the replay is
         # refused and synthesis runs cold.
-        raw = json.loads(populated_store.read_text())
-        (entry,) = raw["entries"].values()
-        conjunct = entry["payload"]["post"]["conjuncts"][0]
+        (shard,) = populated_store.glob("shard-*.jsonl")
+        (line,) = shard.read_text().splitlines()
+        record = json.loads(line)
+        conjunct = record["entry"]["payload"]["post"]["conjuncts"][0]
         conjunct["rhs"] = ["frac", 7, 1]
-        populated_store.write_text(json.dumps(raw))
+        shard.write_text(json.dumps(record) + "\n")
 
         calls = {"count": 0}
         real = cegis.synthesize_kernel_uncached

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,11 +187,12 @@ class TestStore:
         seeded.record_failure("a" * 64, "m1", "k1")
         seeded.record_failure("b" * 64, "m2", "k2")
         seeded.save()
-        with pytest.warns(StaleVersionWarning, match="discarding 2 stale"):
+        with pytest.warns(StaleVersionWarning, match="holds 2 entries"):
             stale = SynthesisCache(path, code_version=CODE_VERSION + "-next")
         assert len(stale) == 0
-        # The file is not quarantined — skew is invalidation, not damage.
-        assert path.is_file()
+        # Nothing is quarantined — skew is invalidation, not damage.
+        assert path.is_dir()
+        assert not list(tmp_path.rglob("*.corrupt-*"))
 
     def test_failure_is_cached(self, tmp_path, counted_synthesis):
         kernel = _kernel(TWO_POINT)
@@ -267,7 +269,7 @@ class TestPipelineIntegration:
 
 
 class TestFileLock:
-    """Crash-reclaimable locking for the store's read-merge-replace save."""
+    """Crash-reclaimable locking for the store's per-shard appends."""
 
     def test_acquire_release_round_trip(self, tmp_path):
         from repro.cache import FileLock
@@ -346,11 +348,13 @@ class TestFileLock:
 
         import repro.cache.locks as locks_mod
 
-        store_path = tmp_path / "store.json"
-        lock_path = tmp_path / "store.json.lock"
+        from repro.cache import ShardedStore
+
+        store_path = tmp_path / "store"
+        lock_path = Path(str(ShardedStore(store_path).shard_file("fp-after-crash")) + ".lock")
         src_dir = os.path.dirname(os.path.dirname(os.path.dirname(locks_mod.__file__)))
-        # The victim acquires the store's save lock exactly as
-        # SynthesisCache.save does, announces it, then hangs as if it
+        # The victim acquires the shard lock of the entry below exactly
+        # as SynthesisCache.save does, announces it, then hangs as if it
         # died between acquire and release.
         victim = subprocess.Popen(
             [

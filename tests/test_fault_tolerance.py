@@ -28,9 +28,12 @@ from repro.cache import (
     ArtifactStore,
     CacheIntegrityWarning,
     FileLock,
+    ScheduleStore,
     ShardedStore,
     SynthesisCache,
+    schedule_to_payload,
 )
+from repro.halide import Schedule
 from repro.pipeline import (
     BatchScheduler,
     FaultPolicy,
@@ -86,7 +89,7 @@ def reference():
 
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory, reference):
-    """A populated store file so faulted batches re-run warm and fast."""
+    """A populated store so faulted batches re-run warm and fast."""
     path = tmp_path_factory.mktemp("warm") / "store.json"
     cache = SynthesisCache(path, autosave=False)
     lift_cases_sequential(CASES, OPTIONS, cache)
@@ -96,7 +99,7 @@ def warm_store(tmp_path_factory, reference):
 
 def _copy_store(warm_store, tmp_path):
     path = tmp_path / "store.json"
-    shutil.copy(warm_store, path)
+    shutil.copytree(warm_store, path)
     return path
 
 
@@ -338,10 +341,12 @@ class TestLockFaults:
     def test_batch_save_reclaims_lock_of_killed_holder(
         self, warm_store, reference, tmp_path
     ):
-        """A process SIGKILLed *while holding* the store's save lock
-        (injected at the lock-acquired hook) must not wedge the batch."""
-        path = _copy_store(warm_store, tmp_path)
-        lock_path = str(path) + ".lock"
+        """A process SIGKILLed *while holding* a shard lock of the store
+        (injected at the lock-acquired hook) must not wedge the batch's
+        save of a new entry into that shard."""
+        path = tmp_path / "store"
+        fingerprint = min(SynthesisCache(warm_store).snapshot_entries())
+        lock_path = str(ShardedStore(path).shard_file(fingerprint)) + ".lock"
         spec = write_spec(
             tmp_path / "faults.json",
             tmp_path / "state",
@@ -369,9 +374,10 @@ class TestLockFaults:
         result = BatchScheduler(OPTIONS, pool_size=2, cache=cache).lift_cases(CASES)
         assert _signatures(result.reports) == reference
         assert not os.path.exists(lock_path)  # reclaimed, then released
+        assert SynthesisCache(path).get(fingerprint) is not None
 
     def test_store_save_degrades_to_memory_under_live_lock(self, tmp_path):
-        path = tmp_path / "store.json"
+        path = tmp_path / "store"
         writer = SynthesisCache(path, autosave=False)
         writer.record_failure("fp-disk", "no strategy verified")
         writer.save()
@@ -382,14 +388,16 @@ class TestLockFaults:
         other = SynthesisCache(path, autosave=False)
         other.record_failure("fp-disk2", "no strategy verified")
         other.save()
-        # ...and a live holder pins the lock during our save.
-        holder = FileLock(str(path) + ".lock")
+        # ...and a live holder pins the shard lock during our save.
+        shard = ShardedStore(path).shard_file("fp-mem")
+        assert shard == ShardedStore(path).shard_file("fp-disk2")
+        holder = FileLock(str(shard) + ".lock")
         holder.acquire()
         try:
-            before = path.read_bytes()
-            with pytest.warns(CacheIntegrityWarning, match="lock busy"):
+            before = shard.read_bytes()
+            with pytest.warns(CacheIntegrityWarning, match="shard lock busy"):
                 cache.save()
-            assert path.read_bytes() == before  # the file was not touched
+            assert shard.read_bytes() == before  # the log was not touched
         finally:
             holder.release()
         # The degraded save still folded the disk entries into memory.
@@ -419,37 +427,8 @@ class TestLockFaults:
 
 
 # ---------------------------------------------------------------------------
-# Torn writes: store file and artifact store
+# Torn writes: the sharded synthesis store
 # ---------------------------------------------------------------------------
-
-class TestTornWrites:
-    def test_truncated_store_quarantines_and_recovers(
-        self, reference, tmp_path, monkeypatch
-    ):
-        """An injected torn write on the store's own save: the next run
-        quarantines the damage, degrades to cold, and still matches."""
-        spec = write_spec(
-            tmp_path / "faults.json",
-            tmp_path / "state",
-            [{"site": "store-file", "kind": "truncate", "occurrences": [1]}],
-        )
-        monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store.json"
-        first = BatchScheduler(
-            OPTIONS, pool_size=2, cache=SynthesisCache(path, autosave=False)
-        ).lift_cases(CASES)
-        assert _signatures(first.reports) == reference  # results unharmed
-
-        # The save's torn write is discovered on the next load.
-        with pytest.warns(CacheIntegrityWarning, match="quarantined"):
-            cache = SynthesisCache(path, autosave=False)
-        assert len(cache) == 0  # degraded to cold
-        assert (tmp_path / "store.json.corrupt-1").exists()
-
-        second = BatchScheduler(OPTIONS, pool_size=2, cache=cache).lift_cases(CASES)
-        assert _signatures(second.reports) == reference
-        assert len(SynthesisCache(path)) == 3  # the store healed
-
 
 class TestShardFaults:
     """Fault-matrix rows for the sharded store: a torn shard append
@@ -465,15 +444,14 @@ class TestShardFaults:
             [{"site": "shard-log", "kind": "truncate", "occurrences": [1]}],
         )
         monkeypatch.setenv(ENV_VAR, str(spec))
-        path = tmp_path / "store"  # no .json suffix: sharded backend
+        path = tmp_path / "store"
         first = BatchScheduler(
             OPTIONS, pool_size=2, cache=SynthesisCache(path, autosave=False)
         ).lift_cases(CASES)
         assert _signatures(first.reports) == reference  # results unharmed
 
-        # Unlike the single-file store (whole file quarantined, fully
-        # cold), only the torn line is lost: the next load warns, skips
-        # it, and every other shard's entries survive.
+        # Only the torn line is lost: the next load warns, skips it, and
+        # every other shard's entries survive.
         with pytest.warns(CacheIntegrityWarning, match="torn appends"):
             cache = SynthesisCache(path, autosave=False)
         assert 0 < len(cache) < len(CASES)
@@ -645,15 +623,32 @@ class TestArtifactIntegrity:
         assert published == store.so_path(self.KEY)
         assert store.get(self.KEY) is not None  # verified republication
 
-    def test_injected_torn_artifact_write(self, tmp_path, monkeypatch):
-        """The artifact-so hook: the .so is truncated at publication and
-        caught at load, never dlopen'd."""
+    # The two BlobStore-backed stores, each with its publish-entry and
+    # published-file fault sites and one way to publish an entry.
+    STORES = {
+        "artifact": ("artifact-publish", "artifact-so"),
+        "schedule": ("schedule-publish", "schedule-record"),
+    }
+
+    def _store_and_publish(self, kind, tmp_path):
+        if kind == "artifact":
+            store = ArtifactStore(tmp_path / "arts")
+            return store, lambda: self._publish(store, tmp_path)
+        store = ScheduleStore(tmp_path / "schedules")
+        record = {"kernel": "k", "schedule": schedule_to_payload(Schedule.default())}
+        return store, lambda: store.put(self.KEY, record)
+
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_injected_torn_artifact_write(self, kind, tmp_path, monkeypatch):
+        """The published-file hook: the entry is truncated at publication
+        and caught at load — never dlopen'd, never replayed as a tuned
+        schedule — then quarantined and rebuilt."""
         spec = write_spec(
             tmp_path / "faults.json",
             tmp_path / "state",
             [
                 {
-                    "site": "artifact-so",
+                    "site": self.STORES[kind][1],
                     "kind": "truncate",
                     "occurrences": [1],
                     "keep_bytes": 3,
@@ -661,7 +656,33 @@ class TestArtifactIntegrity:
             ],
         )
         monkeypatch.setenv(ENV_VAR, str(spec))
-        store = ArtifactStore(tmp_path / "arts")
-        self._publish(store, tmp_path)
+        store, publish = self._store_and_publish(kind, tmp_path)
+        publish()
         with pytest.warns(CacheIntegrityWarning, match="digest mismatch"):
             assert store.get(self.KEY) is None
+        assert store.misses == 1
+        assert Path(f"{store.blob_path(self.KEY)}.corrupt-1").exists()
+        # The re-tune (or recompile) republishes a verified entry.
+        publish()
+        assert store.get(self.KEY) is not None and store.hits == 1
+
+    @pytest.mark.parametrize("kind", sorted(STORES))
+    def test_injected_publish_raise_publishes_nothing(self, kind, tmp_path, monkeypatch):
+        """The publish-entry hook raising leaves no file, no sidecar and
+        no lock behind; the next publication succeeds."""
+        from repro.testing.faultinject import InjectedFault
+
+        spec = write_spec(
+            tmp_path / "faults.json",
+            tmp_path / "state",
+            [{"site": self.STORES[kind][0], "kind": "raise", "occurrences": [1]}],
+        )
+        monkeypatch.setenv(ENV_VAR, str(spec))
+        store, publish = self._store_and_publish(kind, tmp_path)
+        with pytest.raises(InjectedFault):
+            publish()
+        assert store.get(self.KEY) is None and store.entry_count() == 0
+        assert not store.meta_path(self.KEY).exists()
+        assert not store.publish_lock_path(self.KEY).exists()
+        publish()
+        assert store.get(self.KEY) is not None

@@ -4,18 +4,20 @@ The claims under test, in roughly escalating order of paranoia:
 
 * shard bucketing is deterministic and filesystem-safe for any key;
 * append → load round-trips, later records win, saves append rather
-  than rewrite, and the ``SynthesisCache`` suffix rule picks the right
-  backend;
+  than rewrite, and every ``SynthesisCache`` path is a sharded
+  directory;
 * compaction drops dead weight (rewrites, stale versions, damage)
   without losing a live entry;
-* opening a legacy single-JSON store through the sharded backend
-  migrates it atomically and idempotently, preserving the original;
+* opening a store file in the retired single-JSON format migrates it
+  atomically and idempotently, preserving the original (or, if it is
+  corrupt, quarantining it and starting empty);
 * a writer SIGKILLed mid-append (faultinject) leaves the store
   *loadable* and its shard lock reclaimable;
 * many concurrent writer processes lose zero entries while compaction
   runs under contention;
-* lift reports served from a sharded store are byte-identical
-  (``report_signature``) to ones served from the legacy single file.
+* lift reports served warm from a sharded store — or from a migrated
+  single-JSON file — are byte-identical (``report_signature``) to the
+  cold run's.
 """
 
 from __future__ import annotations
@@ -141,24 +143,14 @@ class TestShardedStore:
 
 
 class TestSuffixRule:
-    def test_json_suffix_stays_legacy(self, tmp_path):
-        cache = SynthesisCache(tmp_path / "store.json", autosave=False)
-        assert not cache.sharded
-        cache.record_failure(_fp(1), "m")
-        cache.save()
-        assert (tmp_path / "store.json").is_file()
+    """Any path, ``.json`` suffix or not, is a sharded directory."""
 
     def test_directory_path_is_sharded(self, tmp_path):
         cache = SynthesisCache(tmp_path / "store", autosave=False)
-        assert cache.sharded
         cache.record_failure(_fp(1), "m")
         cache.save()
         assert (tmp_path / "store").is_dir()
         assert list((tmp_path / "store").glob("shard-*.jsonl"))
-
-    def test_explicit_override_wins(self, tmp_path):
-        assert SynthesisCache(tmp_path / "s.json", sharded=True, autosave=False).sharded
-        assert not SynthesisCache(tmp_path / "s", sharded=False, autosave=False).sharded
 
     def test_sharded_save_appends_only_new_entries(self, tmp_path):
         cache = SynthesisCache(tmp_path / "store", autosave=False)
@@ -195,7 +187,6 @@ class TestMigration:
         self._legacy(legacy)
         original_bytes = legacy.read_bytes()
         cache = SynthesisCache(legacy, autosave=False)
-        assert cache.sharded
         assert len(cache) == 3
         assert cache.get(_fp(2)).failure_message == "legacy 2"
         migrated = Path(str(legacy) + ".migrated")
@@ -223,6 +214,21 @@ class TestMigration:
             cache = SynthesisCache(legacy, autosave=False)
         assert len(cache) == 0
         assert Path(str(legacy) + ".migrated").is_file()
+
+    def test_corrupt_legacy_file_quarantines_to_empty_store(self, tmp_path):
+        legacy = tmp_path / "store"
+        legacy.write_text('{"version": "torn', encoding="utf-8")
+        with pytest.warns(CacheIntegrityWarning, match="quarantined"):
+            cache = SynthesisCache(legacy, autosave=False)
+        assert len(cache) == 0
+        assert legacy.is_dir()
+        assert Path(str(legacy) + ".corrupt-1").read_text(encoding="utf-8") == '{"version": "torn'
+        assert not Path(str(legacy) + ".migrated").exists()
+        assert not list(tmp_path.glob("*.migrating-*"))
+        # The empty store is a working one.
+        cache.record_failure(_fp(1), "fresh")
+        cache.save()
+        assert len(SynthesisCache(legacy, autosave=False)) == 1
 
 
 WRITER_SCRIPT = r"""
@@ -352,23 +358,34 @@ class TestReportParity:
 
     def test_sharded_and_legacy_reports_are_byte_identical(self, tmp_path):
         options = PipelineOptions(verifier_environments=1, inductive=False)
-        legacy_cache = SynthesisCache(tmp_path / "legacy.json", autosave=False)
-        legacy = translate_application(
-            self.SOURCE, options, cache=legacy_cache, driver="doubler"
+        cold_cache = SynthesisCache(tmp_path / "sharded", autosave=False)
+        cold = translate_application(
+            self.SOURCE, options, cache=cold_cache, driver="doubler"
         )
-        sharded_cache = SynthesisCache(tmp_path / "sharded", autosave=False)
-        sharded = translate_application(
-            self.SOURCE, options, cache=sharded_cache, driver="doubler"
-        )
-        assert [report_signature(tk.report) for tk in legacy.translated] == [
-            report_signature(tk.report) for tk in sharded.translated
-        ]
+        cold_cache.save()
+        expected = [report_signature(tk.report) for tk in cold.translated]
+        assert expected and cold.cache_misses > 0
         # Warm through the sharded store: same bytes, zero synthesis.
-        warm_cache = SynthesisCache(tmp_path / "sharded", autosave=False)
         warm = translate_application(
-            self.SOURCE, options, cache=warm_cache, driver="doubler"
+            self.SOURCE,
+            options,
+            cache=SynthesisCache(tmp_path / "sharded", autosave=False),
+            driver="doubler",
         )
         assert warm.cache_misses == 0
-        assert [report_signature(tk.report) for tk in warm.translated] == [
-            report_signature(tk.report) for tk in legacy.translated
-        ]
+        assert [report_signature(tk.report) for tk in warm.translated] == expected
+        # The same entries written in the retired single-JSON format are
+        # imported on open and replay the same bytes.
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(
+            json.dumps({"version": CODE_VERSION, "entries": cold_cache.snapshot_entries()}),
+            encoding="utf-8",
+        )
+        migrated = translate_application(
+            self.SOURCE,
+            options,
+            cache=SynthesisCache(legacy, autosave=False),
+            driver="doubler",
+        )
+        assert migrated.cache_misses == 0
+        assert [report_signature(tk.report) for tk in migrated.translated] == expected
